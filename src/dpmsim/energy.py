@@ -78,29 +78,60 @@ class StorageElement:
     def v_full(self) -> Voltage:
         return self.ocv_curve[-1][1]
 
+    @property
+    def ocv_segments(self) -> tuple[tuple[float, int, float, int], ...]:
+        """The OCV curve as plain (soc0, uv0, soc1, uv1) segments."""
+        curve = self.ocv_curve
+        return tuple((s0, v0.uv, s1, v1.uv) for (s0, v0), (s1, v1) in zip(curve, curve[1:]))
 
-def _ocv_uv(curve: tuple[tuple[float, Voltage], ...], soc: float) -> float:
-    for (s0, v0), (s1, v1) in zip(curve, curve[1:]):
+
+# The cores below work on plain numbers (soc, uV, nJ, nW, us) so the event
+# engine can call them per event; the typed functions further down wrap them.
+
+
+def _ocv_uv(segments: tuple[tuple[float, int, float, int], ...], soc: float) -> float:
+    for s0, v0, s1, v1 in segments:
         if soc <= s1:
-            return v0.uv + (v1.uv - v0.uv) * (soc - s0) / (s1 - s0)
-    return float(curve[-1][1].uv)
+            return v0 + (v1 - v0) * (soc - s0) / (s1 - s0)
+    return float(segments[-1][3])
 
 
-def _soc_at_uv(curve: tuple[tuple[float, Voltage], ...], uv: float) -> float:
+def _soc_at_uv(segments: tuple[tuple[float, int, float, int], ...], uv: float) -> float:
     # First matching segment wins; a flat segment maps to its left knee.
-    for (s0, v0), (s1, v1) in zip(curve, curve[1:]):
-        if uv <= v1.uv:
-            if v1.uv == v0.uv:
+    for s0, v0, s1, v1 in segments:
+        if uv <= v1:
+            if v1 == v0:
                 return s0
-            return s0 + (s1 - s0) * (uv - v0.uv) / (v1.uv - v0.uv)
-    return curve[-1][0]
+            return s0 + (s1 - s0) * (uv - v0) / (v1 - v0)
+    return segments[-1][2]
+
+
+def _store_uv(segments: tuple[tuple[float, int, float, int], ...], e_nj: float, capacity_nj: float) -> float:
+    """Terminal voltage in fractional uV for a stored energy, soc clamped to [0, 1]."""
+    soc = e_nj / capacity_nj
+    if soc < 0.0:
+        soc = 0.0
+    elif soc > 1.0:
+        soc = 1.0
+    return _ocv_uv(segments, soc)
+
+
+def _integrate(e_nj: float, capacity_nj: float, p_nw: float, dt_us: int) -> tuple[float, float, float]:
+    """(stored, clipped above capacity, clipped below empty) after dt_us at p_nw."""
+    e_new = e_nj + (p_nw * dt_us) / 1_000_000
+    if e_new > capacity_nj:
+        return capacity_nj, e_new - capacity_nj, 0.0
+    if e_new < 0.0:
+        return 0.0, 0.0, -e_new
+    return e_new, 0.0, 0.0
 
 
 def ocv(storage: StorageElement, soc: float) -> Voltage:
     """Open-circuit voltage at a state of charge, on the 1 uV grid."""
     if not 0.0 <= soc <= 1.0:
         raise ValueError(f"soc must lie in [0, 1], got {soc}")
-    return Voltage(round(_ocv_uv(storage.ocv_curve, soc)))
+    return Voltage(round(_ocv_uv(storage.ocv_segments, soc)))
+
 
 def soc_at_voltage(storage: StorageElement, v: Voltage) -> float:
     """Inverse of the OCV curve; errors outside the curve's range."""
@@ -108,7 +139,7 @@ def soc_at_voltage(storage: StorageElement, v: Voltage) -> float:
         raise ValueError(
             f"voltage {v.uv} uV outside OCV range [{storage.v_empty.uv}, {storage.v_full.uv}] uV"
         )
-    return _soc_at_uv(storage.ocv_curve, v.uv)
+    return _soc_at_uv(storage.ocv_segments, v.uv)
 
 
 def energy_at_voltage(storage: StorageElement, uv: float) -> Energy:
@@ -122,13 +153,12 @@ def energy_at_voltage(storage: StorageElement, uv: float) -> Energy:
         raise ValueError(
             f"voltage {uv} uV outside OCV range [{storage.v_empty.uv}, {storage.v_full.uv}] uV"
         )
-    return Energy(_soc_at_uv(storage.ocv_curve, uv) * storage.e_capacity.nj)
+    return Energy(_soc_at_uv(storage.ocv_segments, uv) * storage.e_capacity.nj)
 
 
 def storage_voltage(storage: StorageElement) -> Voltage:
     """Terminal voltage for the current stored energy."""
-    soc = min(1.0, max(0.0, storage.soc))
-    return Voltage(round(_ocv_uv(storage.ocv_curve, soc)))
+    return Voltage(round(_store_uv(storage.ocv_segments, storage.e_store.nj, storage.e_capacity.nj)))
 
 
 @dataclass(frozen=True)
@@ -149,15 +179,7 @@ def apply_net_power(storage: StorageElement, p_net: Power, dt: Duration) -> Clam
     """
     if dt.us < 0:
         raise ValueError(f"apply_net_power requires a non-negative dt, got {dt.us} us")
-    e_new = storage.e_store.nj + energy_of(p_net, dt).nj
-    clipped_high = 0.0
-    clipped_low = 0.0
-    if e_new > storage.e_capacity.nj:
-        clipped_high = e_new - storage.e_capacity.nj
-        e_new = storage.e_capacity.nj
-    elif e_new < 0.0:
-        clipped_low = -e_new
-        e_new = 0.0
+    e_new, clipped_high, clipped_low = _integrate(storage.e_store.nj, storage.e_capacity.nj, p_net.nw, dt.us)
     return ClampResult(storage.with_energy(Energy(e_new)), Energy(clipped_high), Energy(clipped_low))
 
 

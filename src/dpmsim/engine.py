@@ -7,7 +7,7 @@ hunted with fixed time steps. Replaying a scenario therefore produces
 byte-identical traces and reports.
 
 Event ordering is total: (time, kind priority, insertion sequence).
-Kind priority follows the declaration order of EventKind below, so
+Kind priority follows the order of _KIND_LABEL below, so
 simultaneous triggers resolve the same way on every run (an RTC alarm
 processed before a touch press at the same microsecond leaves the touch
 as the winning wake source, matching latest-trigger-wins).
@@ -24,23 +24,21 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .energy import (
-    HarvesterModel,
-    LoadStep,
-    StorageElement,
-    _ocv_uv,
+    _integrate,
+    _soc_at_uv,
+    _store_uv,
     always_on_power,
-    apply_net_power,
-    energy_at_voltage,
     harvest_power,
     harvest_voltage,
     power_of,
 )
-from .pmic import Mode, PmicInputs, PmicMode, Stage, operating_stage, rails_for, step_mode
+from .pmic import Mode, PmicMode, step_mode_plain
 from .quantities import Duration, Energy, Illuminance, Power, TimePoint, Voltage
 from .scenario import Scenario, VariantKind
-from .wake import ClearCommand, ClearVia, LatchState, on_rtc_alarm, on_touch, mcu_clear
+from .wake import ClearCommand, ClearVia, LatchState, WakeSource, mcu_clear, on_rtc_alarm, on_touch
 
 ALWAYS_ON_COMPONENT = "always_on"
 
@@ -52,15 +50,14 @@ class SimulationError(RuntimeError):
     """The engine reached a state that violates its own contracts."""
 
 
-class EventKind(enum.IntEnum):
-    RTC_ALARM = 0
-    TOUCH_PRESS = 1
-    LOAD_STEP_COMPLETE = 2
-    THRESHOLD_CROSS = 3
-    SHUTDOWN_GRACE_EXPIRE = 4
-    LIGHT_CHANGE = 5
-    MCU_CLEAR_LATCH = 6
-    SIM_END = 7
+# Event kinds. The kind's value is its priority among events at the same
+# microsecond and indexes _KIND_LABEL.
+_KIND_LABEL = (
+    "rtc_alarm", "touch_press", "load_step_complete", "threshold_cross",
+    "shutdown_grace_expire", "light_change", "mcu_clear_latch", "sim_end",
+)
+(_RTC_ALARM, _TOUCH_PRESS, _LOAD_STEP_COMPLETE, _THRESHOLD_CROSS,
+ _SHUTDOWN_GRACE_EXPIRE, _LIGHT_CHANGE, _MCU_CLEAR_LATCH, _SIM_END) = range(len(_KIND_LABEL))
 
 
 class CrossKind(enum.Enum):
@@ -71,33 +68,15 @@ class CrossKind(enum.Enum):
     COLD_START = "cold_start"
     DEPLETED = "depleted"
 
-
-_KIND_LABEL = {
-    EventKind.RTC_ALARM: "rtc_alarm",
-    EventKind.TOUCH_PRESS: "touch_press",
-    EventKind.LOAD_STEP_COMPLETE: "load_step_complete",
-    EventKind.THRESHOLD_CROSS: "threshold_cross",
-    EventKind.SHUTDOWN_GRACE_EXPIRE: "shutdown_grace_expire",
-    EventKind.LIGHT_CHANGE: "light_change",
-    EventKind.MCU_CLEAR_LATCH: "mcu_clear_latch",
-    EventKind.SIM_END: "sim_end",
-}
+    def __init__(self, value: str) -> None:
+        self.label = f"threshold_cross:{value}"
 
 
-@dataclass(frozen=True)
-class Event:
-    time_us: int
-    kind: EventKind
-    cross: CrossKind | None = None
-    v_target_uv: int | None = None
-    lux: Illuminance | None = None
-    deadline_us: int | None = None
-    gen: int = 0
-
-    def label(self) -> str:
-        if self.kind is EventKind.THRESHOLD_CROSS:
-            return f"threshold_cross:{self.cross.value}"
-        return _KIND_LABEL[self.kind]
+# Enum member lookups go through the enum metaclass; the per-event paths
+# compare against these module-level names instead.
+_CHRDY_UP, _CHRDY_DOWN, _OVCH_UP, _OVCH_DOWN, _COLD_START, _DEPLETED = CrossKind
+_DEEP_SLEEP, _WAKE_UP, _NORMAL, _OVERCHARGE, _SHUTDOWN = Mode
+_NO_SOURCE = WakeSource.NONE
 
 
 @dataclass(frozen=True)
@@ -179,28 +158,37 @@ def idle_power(scenario: Scenario) -> Power:
     return always_on_power(scenario.always_on)
 
 
-@dataclass
-class _ActiveStep:
-    index: int
-    step: LoadStep
-    end_us: int
-    gen: int
+class _Step(NamedTuple):
+    name: str
+    power_nw: float
+    duration_us: int
 
 
 class _State:
-    """Mutable state of one run; engine-internal."""
+    """Mutable state of one run, in plain numbers; engine-internal."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+        storage = scenario.storage
+        cfg = scenario.pmic
         self.now = 0
         self.mode = PmicMode.deep_sleep()
+        self.mode_since = 0
         self.latch = LatchState.cleared()
-        self.storage: StorageElement = scenario.storage
-        self.lux = Illuminance(0.0)
+        self.ocv_segments = storage.ocv_segments
+        self.e_capacity_nj = storage.e_capacity.nj
+        self.e_store_nj = storage.e_store.nj
+        self.v_empty_uv = storage.v_empty.uv
+        self.v_full_uv = storage.v_full.uv
+        self.v_chrdy_uv = cfg.v_chrdy.uv
+        self.v_ovch_uv = cfg.v_ovch.uv
+        self.v_ovch_exit_uv = (cfg.v_ovch - cfg.v_ovch_hysteresis).uv
         self.p_harvest_nw = 0.0
-        self.v_harvest = Voltage(0)
+        self.v_harvest_uv = 0
         self.idle_nw = idle_power(scenario).nw
-        self.active_step: _ActiveStep | None = None
+        self.steps = tuple(_Step(step.name, step.power.nw, step.duration.us) for step in scenario.load_script)
+        # The running step, if any, is always generation step_gen.
+        self.active_step: _Step | None = None
         self.next_step_index = 0
         self.step_gen = 0
         self.threshold_gen = 0
@@ -209,7 +197,8 @@ class _State:
         # rail would re-boot and brown out forever within one instant;
         # hold cold start off until the light actually changes.
         self.cold_start_held = False
-        self.queue: list[tuple[int, int, int, Event]] = []
+        # Heap entries: (time_us, kind, seq, gen, payload).
+        self.queue: list[tuple] = []
         self.seq = 0
         self.events_dispatched = 0
         # Ledger.
@@ -228,55 +217,40 @@ class _State:
         self.cycle_harvested_nj = 0.0
         self.cycle_consumed_nj = 0.0
 
-    # -- queue ------------------------------------------------------
-
-    def push(self, ev: Event) -> None:
+    def push(self, t_us: int, kind: int, gen: int = 0, payload=None) -> None:
         self.seq += 1
-        heapq.heappush(self.queue, (ev.time_us, int(ev.kind), self.seq, ev))
+        heapq.heappush(self.queue, (t_us, kind, self.seq, gen, payload))
 
-    def pop(self) -> Event:
-        return heapq.heappop(self.queue)[3]
+    def v_store_float(self, e_nj: float) -> float:
+        return _store_uv(self.ocv_segments, e_nj, self.e_capacity_nj)
 
-    def next_time(self) -> int | None:
-        return self.queue[0][0] if self.queue else None
+    def v_store_uv(self) -> int:
+        return round(_store_uv(self.ocv_segments, self.e_store_nj, self.e_capacity_nj))
 
-    # -- instantaneous views -----------------------------------------
+    def stage2(self) -> bool:
+        """Switched compute rail up: a charged store and a set latch."""
+        mode = self.mode.mode
+        return self.latch.set and (mode is _NORMAL or mode is _OVERCHARGE)
 
-    def v_store_float(self, e_nj: float | None = None) -> float:
-        e = self.storage.e_store.nj if e_nj is None else e_nj
-        soc = e / self.storage.e_capacity.nj
-        soc = min(1.0, max(0.0, soc))
-        return _ocv_uv(self.storage.ocv_curve, soc)
+    def set_mode(self, mode: PmicMode) -> None:
+        """Enter a mode, closing the residency interval of the one it leaves."""
+        self.time_in_mode[self.mode.mode] += self.now - self.mode_since
+        self.mode_since = self.now
+        self.mode = mode
 
-    def v_store(self) -> Voltage:
-        return Voltage(round(self.v_store_float()))
-
-    def stage(self) -> Stage:
-        return operating_stage(self.mode, self.latch.set)
-
-    def inputs(self) -> PmicInputs:
-        return PmicInputs(
-            v_store=self.v_store(),
-            v_harvester=self.v_harvest,
-            p_harvester=Power(self.p_harvest_nw),
-            latch_set=self.latch.set,
-            now=TimePoint(self.now),
-        )
-
-    def power_split(self) -> tuple[float, float, float, float]:
-        """(harvest, drain, into-store, discarded) rates in nW for the current state."""
-        if self.mode.mode is Mode.DEEP_SLEEP:
-            return 0.0, 0.0, 0.0, 0.0
+    def net_nw(self) -> float:
+        """Rate into the store in nW for the current state."""
+        mode = self.mode.mode
+        if mode is _DEEP_SLEEP:
+            return 0.0
         drain = self.idle_nw
         if self.active_step is not None:
-            drain += self.active_step.step.power.nw
-        h = self.p_harvest_nw
-        if self.mode.mode is Mode.OVERCHARGE:
+            drain += self.active_step.power_nw
+        if mode is _OVERCHARGE:
             # Charging is held off: harvest feeds the load first and the
             # surplus is rejected; the store only discharges.
-            surplus = h - drain
-            return h, drain, min(0.0, surplus), max(0.0, surplus)
-        return h, drain, h - drain, 0.0
+            return min(0.0, self.p_harvest_nw - drain)
+        return self.p_harvest_nw - drain
 
     def record_anomaly(self, code: str, detail: str) -> None:
         self.anomalies.append(Anomaly(self.now, code, detail))
@@ -292,34 +266,36 @@ def _advance_to(state: _State, t_us: int) -> None:
     dt_us = t_us - state.now
     if dt_us == 0:
         return
-    harvest_nw, _, to_store_nw, discard_nw = state.power_split()
-    dt = Duration(dt_us)
-
-    if state.mode.mode is not Mode.DEEP_SLEEP:
+    to_store_nw = state.net_nw()
+    if state.mode.mode is not _DEEP_SLEEP:
+        harvest_nw = state.p_harvest_nw
         harvest_e = harvest_nw * dt_us / 1e6
         state.e_harvested_nj += harvest_e
         state.cycle_harvested_nj += harvest_e
-        idle_e = state.idle_nw * dt_us / 1e6
+        drain_nw = state.idle_nw
+        idle_e = drain_nw * dt_us / 1e6
         state.consumed_nj[ALWAYS_ON_COMPONENT] += idle_e
         state.cycle_consumed_nj += idle_e
-        if state.active_step is not None:
-            step_e = state.active_step.step.power.nw * dt_us / 1e6
-            state.consumed_nj[state.active_step.step.name] += step_e
+        step = state.active_step
+        if step is not None:
+            drain_nw += step.power_nw
+            step_e = step.power_nw * dt_us / 1e6
+            state.consumed_nj[step.name] += step_e
             state.cycle_consumed_nj += step_e
-        state.e_discarded_nj += discard_nw * dt_us / 1e6
+        if state.mode.mode is _OVERCHARGE:
+            state.e_discarded_nj += max(0.0, harvest_nw - drain_nw) * dt_us / 1e6
 
-    clamp = apply_net_power(state.storage, Power(to_store_nw), dt)
-    state.storage = clamp.storage
-    if clamp.clipped_high.nj > 0.0:
+    state.e_store_nj, clipped_high, clipped_low = _integrate(
+        state.e_store_nj, state.e_capacity_nj, to_store_nw, dt_us
+    )
+    if clipped_high > 0.0:
         # Physical ceiling; rejected exactly like an overcharge clamp.
-        state.e_discarded_nj += clamp.clipped_high.nj
-    if clamp.clipped_low.nj > 0.0:
+        state.e_discarded_nj += clipped_high
+    if clipped_low > 0.0:
         # Only float dust can land here (the depletion crossing fires at
         # zero); undo the overstated drain so the ledger stays balanced.
-        state.consumed_nj[ALWAYS_ON_COMPONENT] -= clamp.clipped_low.nj
-        state.cycle_consumed_nj -= clamp.clipped_low.nj
-
-    state.time_in_mode[state.mode.mode] += dt_us
+        state.consumed_nj[ALWAYS_ON_COMPONENT] -= clipped_low
+        state.cycle_consumed_nj -= clipped_low
     state.now = t_us
 
 
@@ -328,14 +304,14 @@ def _advance_to(state: _State, t_us: int) -> None:
 
 def _predicate(state: _State, e_nj: float, cross: CrossKind, target_uv: int) -> bool:
     """Would the guard for this crossing hold at stored energy e_nj?"""
-    if cross is CrossKind.DEPLETED:
+    if cross is _DEPLETED:
         return e_nj <= 0.0
     v = round(state.v_store_float(e_nj))
-    if cross in (CrossKind.CHRDY_UP, CrossKind.OVCH_UP):
+    if cross is _CHRDY_UP or cross is _OVCH_UP:
         return v >= target_uv
-    if cross is CrossKind.CHRDY_DOWN:
+    if cross is _CHRDY_DOWN:
         return v < target_uv
-    if cross is CrossKind.OVCH_DOWN:
+    if cross is _OVCH_DOWN:
         return v <= target_uv
     raise SimulationError(f"no predicate for {cross}")
 
@@ -349,46 +325,44 @@ def find_threshold_crossing(state: _State, cross: CrossKind, target_uv: int) -> 
     dispatched event therefore always sees v_store within 1 uV of its
     target.
     """
-    if cross is not CrossKind.DEPLETED and not (
-        state.storage.v_empty.uv <= target_uv <= state.storage.v_full.uv
-    ):
+    if cross is not _DEPLETED and not state.v_empty_uv <= target_uv <= state.v_full_uv:
         raise ValueError(
             f"crossing target {target_uv} uV is outside the storage voltage range"
         )
-    _, _, p_nw, _ = state.power_split()
-    e0 = state.storage.e_store.nj
+    p_nw = state.net_nw()
+    e0 = state.e_store_nj
+    now = state.now
 
     if _predicate(state, e0, cross, target_uv):
-        return state.now
+        return now
 
-    if cross is CrossKind.DEPLETED:
+    if cross is _DEPLETED:
         if p_nw >= 0.0:
             return None
         e_aim = 0.0
     else:
-        rising = cross in (CrossKind.CHRDY_UP, CrossKind.OVCH_UP)
+        rising = cross is _CHRDY_UP or cross is _OVCH_UP
         if rising and p_nw <= 0.0:
             return None
         if not rising and p_nw >= 0.0:
             return None
-        if cross is CrossKind.CHRDY_DOWN:
+        if cross is _CHRDY_DOWN:
             # The guard is a strict comparison on the 1 uV grid.
             v_aim = target_uv - 0.5 - 1e-6
-        elif cross is CrossKind.OVCH_DOWN:
+        elif cross is _OVCH_DOWN:
             v_aim = target_uv - 1e-6
         else:
             v_aim = float(target_uv)
-        lo = float(state.storage.v_empty.uv)
-        hi = float(state.storage.v_full.uv)
-        e_aim = energy_at_voltage(state.storage, min(hi, max(lo, v_aim))).nj
+        v_aim = min(float(state.v_full_uv), max(float(state.v_empty_uv), v_aim))
+        e_aim = _soc_at_uv(state.ocv_segments, v_aim) * state.e_capacity_nj
 
-    t = state.now + math.ceil((e_aim - e0) / p_nw * 1e6)
-    if t <= state.now:
-        t = state.now + 1
+    t = now + math.ceil((e_aim - e0) / p_nw * 1e6)
+    if t <= now:
+        t = now + 1
     # Float dust can leave the aim point a hair short of the guard; walk
     # forward microsecond by microsecond (strictly bounded in practice).
     for _ in range(1000):
-        e_t = e0 + p_nw * (t - state.now) / 1e6
+        e_t = e0 + p_nw * (t - now) / 1e6
         if _predicate(state, e_t, cross, target_uv):
             return t
         t += 1
@@ -399,32 +373,25 @@ def find_threshold_crossing(state: _State, cross: CrossKind, target_uv: int) -> 
 
 def _candidate_crossing(state: _State) -> tuple[CrossKind, int] | None:
     """The one crossing that can end the current mode, given p_net's sign."""
-    cfg = state.scenario.pmic
-    _, _, p_nw, _ = state.power_split()
+    p_nw = state.net_nw()
     mode = state.mode.mode
-    if mode is Mode.DEEP_SLEEP:
-        return None
-    if mode is Mode.WAKE_UP:
+    if mode is _NORMAL:
         if p_nw > 0.0:
-            return CrossKind.CHRDY_UP, cfg.v_chrdy.uv
+            return _OVCH_UP, state.v_ovch_uv
         if p_nw < 0.0:
-            return CrossKind.DEPLETED, 0
+            return _CHRDY_DOWN, state.v_chrdy_uv
         return None
-    if mode is Mode.NORMAL:
+    if mode is _WAKE_UP or mode is _SHUTDOWN:
         if p_nw > 0.0:
-            return CrossKind.OVCH_UP, cfg.v_ovch.uv
+            return _CHRDY_UP, state.v_chrdy_uv
         if p_nw < 0.0:
-            return CrossKind.CHRDY_DOWN, cfg.v_chrdy.uv
+            return _DEPLETED, 0
         return None
-    if mode is Mode.OVERCHARGE:
+    if mode is _OVERCHARGE:
         if p_nw < 0.0:
-            return CrossKind.OVCH_DOWN, (cfg.v_ovch - cfg.v_ovch_hysteresis).uv
+            return _OVCH_DOWN, state.v_ovch_exit_uv
         return None
-    if mode is Mode.SHUTDOWN:
-        if p_nw > 0.0:
-            return CrossKind.CHRDY_UP, cfg.v_chrdy.uv
-        if p_nw < 0.0:
-            return CrossKind.DEPLETED, 0
+    if mode is _DEEP_SLEEP:
         return None
     raise SimulationError(f"unhandled mode {mode}")
 
@@ -432,64 +399,52 @@ def _candidate_crossing(state: _State) -> tuple[CrossKind, int] | None:
 def _reschedule_threshold(state: _State) -> None:
     """Keep exactly one live threshold-crossing event outstanding."""
     state.threshold_gen += 1
-    if state.mode.mode is Mode.DEEP_SLEEP:
+    if state.mode.mode is _DEEP_SLEEP:
         # Cold start is driven by the harvester, not the store; it can
         # only become true at a dispatch, so test it right here.
+        cfg = state.scenario.pmic
         cold = (
             not state.cold_start_held
-            and state.v_harvest >= state.scenario.pmic.v_cold_start
-            and state.p_harvest_nw >= state.scenario.pmic.p_cold_start.nw
+            and state.v_harvest_uv >= cfg.v_cold_start.uv
+            and state.p_harvest_nw >= cfg.p_cold_start.nw
         )
         if cold:
-            state.push(
-                Event(state.now, EventKind.THRESHOLD_CROSS, cross=CrossKind.COLD_START,
-                      v_target_uv=0, gen=state.threshold_gen)
-            )
+            state.push(state.now, _THRESHOLD_CROSS, state.threshold_gen, (_COLD_START, 0))
         return
     candidate = _candidate_crossing(state)
     if candidate is None:
         return
-    cross, target_uv = candidate
-    t = find_threshold_crossing(state, cross, target_uv)
+    t = find_threshold_crossing(state, *candidate)
     if t is None:
         return
-    horizon = state.next_time()
-    if horizon is not None and t > horizon:
+    if state.queue and t > state.queue[0][0]:
         # p_net cannot change before the next event; recompute then.
         return
-    state.push(Event(t, EventKind.THRESHOLD_CROSS, cross=cross, v_target_uv=target_uv,
-                     gen=state.threshold_gen))
+    state.push(t, _THRESHOLD_CROSS, state.threshold_gen, candidate)
 
 
 # -- dispatch ----------------------------------------------------------
 
 
-def _start_script(state: _State) -> None:
-    state.next_step_index = 0
-    _start_next_step(state)
-
-
 def _start_next_step(state: _State) -> None:
-    script = state.scenario.load_script
-    if state.next_step_index >= len(script):
+    if state.next_step_index >= len(state.steps):
         # Work complete: firmware clears the latch to drop back to Stage1.
         state.cycles_completed += 1
-        state.push(Event(state.now, EventKind.MCU_CLEAR_LATCH))
+        state.push(state.now, _MCU_CLEAR_LATCH)
         return
-    step = script[state.next_step_index]
+    step = state.steps[state.next_step_index]
     state.step_gen += 1
-    state.active_step = _ActiveStep(state.next_step_index, step, state.now + step.duration.us, state.step_gen)
+    state.active_step = step
     state.next_step_index += 1
-    state.push(Event(state.active_step.end_us, EventKind.LOAD_STEP_COMPLETE, gen=state.step_gen))
+    state.push(state.now + step.duration_us, _LOAD_STEP_COMPLETE, state.step_gen)
 
 
 def _abort_step(state: _State, why: str) -> None:
     if state.active_step is None:
         return
-    step = state.active_step.step
     state.record_anomaly(
         "load_step_aborted",
-        f"{step.name} lost power {why}; pro-rata energy already charged",
+        f"{state.active_step.name} lost power {why}; pro-rata energy already charged",
     )
     state.active_step = None
     state.step_gen += 1
@@ -505,7 +460,7 @@ def _flush_cycle(state: _State) -> None:
             consumed_nj=state.cycle_consumed_nj,
             harvested_nj=state.cycle_harvested_nj,
             net_nj=state.cycle_harvested_nj - state.cycle_consumed_nj,
-            end_soc=state.storage.soc,
+            end_soc=state.e_store_nj / state.e_capacity_nj,
         )
     )
     state.cycle_start_us = state.now
@@ -514,88 +469,94 @@ def _flush_cycle(state: _State) -> None:
 
 
 def _set_lux(state: _State, lux: Illuminance) -> None:
-    state.lux = lux
     state.p_harvest_nw = harvest_power(state.scenario.harvester, lux).nw
-    state.v_harvest = harvest_voltage(state.scenario.harvester, lux)
+    state.v_harvest_uv = harvest_voltage(state.scenario.harvester, lux).uv
 
 
 def _check_invariants(state: _State) -> None:
-    rails = rails_for(state.mode, state.latch.set)  # raises if lv without ao
-    if state.stage() is Stage.STAGE2 and not (
-        state.mode.mode in (Mode.NORMAL, Mode.OVERCHARGE) and state.latch.set
-    ):
+    mode = state.mode.mode
+    latch = state.latch
+    ao_out = mode is not _DEEP_SLEEP
+    charged = mode is _NORMAL or mode is _OVERCHARGE
+    if charged and latch.set and not ao_out:
+        raise SimulationError("switched rail up while the always-on rail is down")
+    if state.stage2() and not (charged and latch.set):
         raise SimulationError("Stage2 active without a charged store and a set latch")
-    if rails.ao_out and state.mode.mode is Mode.DEEP_SLEEP:
+    if ao_out and mode is _DEEP_SLEEP:
         raise SimulationError("always-on rail up in DeepSleep")
-    e = state.storage.e_store.nj
-    if not 0.0 <= e <= state.storage.e_capacity.nj:
+    e = state.e_store_nj
+    if not 0.0 <= e <= state.e_capacity_nj:
         raise SimulationError(f"stored energy {e} nJ outside [0, capacity]")
-    if not state.latch.set and state.latch.wake_source.value != "none":
+    if not latch.set and latch.wake_source is not _NO_SOURCE:
         raise SimulationError("cleared latch carries a wake source")
 
 
-def _dispatch(state: _State, ev: Event) -> bool:
+def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
     """Apply one event. Returns False when the event is stale."""
+    if kind == _THRESHOLD_CROSS:
+        if gen != state.threshold_gen:
+            return False
+    elif kind == _LOAD_STEP_COMPLETE:
+        if state.active_step is None or gen != state.step_gen:
+            return False
+    elif kind == _SHUTDOWN_GRACE_EXPIRE:
+        if state.mode.mode is not _SHUTDOWN or state.mode.grace_deadline.us != t_us:
+            return False
+    elif kind == _RTC_ALARM:
+        if gen != state.alarm_gen:
+            return False
+
+    # Stored energy only moves between dispatches.
+    v_uv = state.v_store_uv()
     note_parts: list[str] = []
-    kind = ev.kind
-
-    if kind is EventKind.THRESHOLD_CROSS:
-        if ev.gen != state.threshold_gen:
-            return False
-        if ev.cross not in (CrossKind.COLD_START, CrossKind.DEPLETED):
+    label = _KIND_LABEL[kind]
+    cross = None
+    if kind == _THRESHOLD_CROSS:
+        cross, target_uv = payload
+        label = cross.label
+        if cross is not _COLD_START and cross is not _DEPLETED and abs(v_uv - target_uv) > 1:
             # Freshness contract: a live crossing lands on its target.
-            v = state.v_store().uv
-            if abs(v - ev.v_target_uv) > 1:
-                raise SimulationError(
-                    f"threshold crossing dispatched {abs(v - ev.v_target_uv)} uV off target"
-                )
-    elif kind is EventKind.LOAD_STEP_COMPLETE:
-        if state.active_step is None or ev.gen != state.active_step.gen:
-            return False
-    elif kind is EventKind.SHUTDOWN_GRACE_EXPIRE:
-        if state.mode.mode is not Mode.SHUTDOWN or state.mode.grace_deadline.us != ev.time_us:
-            return False
+            raise SimulationError(
+                f"threshold crossing dispatched {abs(v_uv - target_uv)} uV off target"
+            )
 
-    powered = state.mode.mode is not Mode.DEEP_SLEEP
-    stage2_before = state.stage() is Stage.STAGE2
+    mode = state.mode.mode
+    powered = mode is not _DEEP_SLEEP
+    stage2_before = state.stage2()
 
-    if kind is EventKind.RTC_ALARM:
-        if ev.gen != state.alarm_gen:
-            return False
+    if kind == _RTC_ALARM:
         _flush_cycle(state)
+        rtc = state.scenario.rtc
         if powered:
-            state.latch, next_alarm = on_rtc_alarm(state.latch, TimePoint(ev.time_us), state.scenario.rtc)
+            state.latch, next_alarm = on_rtc_alarm(state.latch, TimePoint(t_us), rtc)
             note_parts.append("latch_set=rtc")
-            if state.mode.mode is Mode.SHUTDOWN:
+            if mode is _SHUTDOWN:
                 note_parts.append("compute_rail_unpowered_until_recovery")
-            elif state.mode.mode is Mode.WAKE_UP:
+            elif mode is _WAKE_UP:
                 note_parts.append("compute_rail_unpowered_until_charged")
+            state.push(next_alarm.us, _RTC_ALARM, state.alarm_gen)
         else:
-            next_alarm = TimePoint(ev.time_us) + state.scenario.rtc.alarm_period
             note_parts.append("ignored_unpowered")
-        state.push(Event(next_alarm.us, EventKind.RTC_ALARM, gen=state.alarm_gen))
+            state.push(t_us + rtc.alarm_period.us, _RTC_ALARM, state.alarm_gen)
 
-    elif kind is EventKind.TOUCH_PRESS:
+    elif kind == _TOUCH_PRESS:
         if powered:
-            state.latch = on_touch(state.latch, TimePoint(ev.time_us))
+            state.latch = on_touch(state.latch, TimePoint(t_us))
             note_parts.append("latch_set=touch")
         else:
             note_parts.append("ignored_unpowered")
 
-    elif kind is EventKind.LOAD_STEP_COMPLETE:
-        note_parts.append(f"step_done={state.active_step.step.name}")
+    elif kind == _LOAD_STEP_COMPLETE:
+        note_parts.append(f"step_done={state.active_step.name}")
         state.active_step = None
         _start_next_step(state)
 
-    elif kind is EventKind.SHUTDOWN_GRACE_EXPIRE:
-        pass  # resolved by the mode step below
-
-    elif kind is EventKind.LIGHT_CHANGE:
-        _set_lux(state, ev.lux)
+    elif kind == _LIGHT_CHANGE:
+        _set_lux(state, payload)
         state.cold_start_held = False
-        note_parts.append(f"lux={ev.lux.lux!r}")
+        note_parts.append(f"lux={payload.lux!r}")
 
-    elif kind is EventKind.MCU_CLEAR_LATCH:
+    elif kind == _MCU_CLEAR_LATCH:
         if not stage2_before:
             # The compute domain lost power in the same microsecond the
             # clear was issued; the latch keeps its state.
@@ -605,49 +566,51 @@ def _dispatch(state: _State, ev: Event) -> bool:
             if not state.latch.set:
                 state.record_anomaly("clear_while_clear", "latch clear issued while already clear")
                 note_parts.append("anomalous_noop_clear")
-            state.latch = mcu_clear(state.latch, ClearCommand(ClearVia.I2C_COMMAND, TimePoint(ev.time_us)))
+            state.latch = mcu_clear(state.latch, ClearCommand(ClearVia.I2C_COMMAND, TimePoint(t_us)))
             note_parts.append("latch_cleared")
-            if state.scenario.rtc.rearm_on_clear:
+            rtc = state.scenario.rtc
+            if rtc.rearm_on_clear:
                 state.alarm_gen += 1
-                state.push(
-                    Event(ev.time_us + state.scenario.rtc.alarm_period.us, EventKind.RTC_ALARM,
-                          gen=state.alarm_gen)
-                )
+                state.push(t_us + rtc.alarm_period.us, _RTC_ALARM, state.alarm_gen)
                 note_parts.append("alarm_rearmed")
 
-    elif kind is EventKind.SIM_END:
+    elif kind == _SIM_END:
         _flush_cycle(state)
 
     # One mode-machine step per dispatch; cascades arrive as immediate
-    # threshold-crossing events scheduled by the recompute below.
-    if ev.kind is EventKind.THRESHOLD_CROSS and ev.cross is CrossKind.DEPLETED:
-        if state.mode.mode is not Mode.DEEP_SLEEP:
-            state.record_anomaly("storage_depleted", f"store empty in {state.mode.mode.value}; forced deep sleep")
-            state.mode = PmicMode.deep_sleep()
+    # threshold-crossing events scheduled by the recompute below. The
+    # grace expiry itself is resolved here too.
+    if cross is _DEPLETED:
+        if mode is not _DEEP_SLEEP:
+            state.record_anomaly("storage_depleted", f"store empty in {mode.value}; forced deep sleep")
+            state.set_mode(PmicMode.deep_sleep())
             state.cold_start_held = True
             note_parts.append("forced_deep_sleep;cold_start_held_until_light_change")
-    elif state.mode.mode is Mode.DEEP_SLEEP and state.cold_start_held:
+    elif mode is _DEEP_SLEEP and state.cold_start_held:
         # Deep sleep's only exit is cold start; while that is held off the
         # step is an identity, and taking it would re-boot into the same
         # brown-out the hold exists to break.
         pass
     else:
-        new_mode = step_mode(state.mode, state.scenario.pmic, state.inputs())
-        if new_mode != state.mode:
+        new_mode = step_mode_plain(
+            state.mode, state.scenario.pmic, v_uv, state.v_harvest_uv, state.p_harvest_nw, state.now
+        )
+        if new_mode is not state.mode:
             note_parts.append(f"mode={new_mode.mode.value}")
-            if new_mode.mode is Mode.SHUTDOWN:
-                state.push(Event(new_mode.grace_deadline.us, EventKind.SHUTDOWN_GRACE_EXPIRE))
-            state.mode = new_mode
+            if new_mode.mode is _SHUTDOWN:
+                state.push(new_mode.grace_deadline.us, _SHUTDOWN_GRACE_EXPIRE)
+            state.set_mode(new_mode)
 
     # Power loss wipes the latch: the latch logic lives on the rail that
     # just went down.
-    if state.mode.mode is Mode.DEEP_SLEEP and state.latch.set:
+    if state.mode.mode is _DEEP_SLEEP and state.latch.set:
         state.latch = LatchState.cleared(TimePoint(state.now))
         note_parts.append("latch_lost_power")
 
-    stage2_after = state.stage() is Stage.STAGE2
+    stage2_after = state.stage2()
     if stage2_after and not stage2_before:
-        _start_script(state)
+        state.next_step_index = 0
+        _start_next_step(state)
         note_parts.append("stage2_entered")
     elif stage2_before and not stage2_after:
         _abort_step(state, f"(mode {state.mode.mode.value})" if state.latch.set else "(latch cleared)")
@@ -657,15 +620,7 @@ def _dispatch(state: _State, ev: Event) -> bool:
     _check_invariants(state)
 
     state.trace.append(
-        TraceRecord(
-            time_us=ev.time_us,
-            kind=ev.label(),
-            mode=state.mode.mode.value,
-            latch_set=state.latch.set,
-            v_store_uv=state.v_store().uv,
-            e_store_nj=state.storage.e_store.nj,
-            note=";".join(note_parts),
-        )
+        TraceRecord(t_us, label, state.mode.mode.value, state.latch.set, v_uv, state.e_store_nj, ";".join(note_parts))
     )
     return True
 
@@ -686,12 +641,12 @@ def _settle_initial_mode(state: _State) -> None:
     the t=0 light sample and landing unpowered.
     """
     cfg = state.scenario.pmic
-    v = state.v_store()
-    if v >= cfg.v_ovch:
+    v_uv = state.v_store_uv()
+    if v_uv >= state.v_ovch_uv:
         state.mode = PmicMode.overcharge()
-    elif v >= cfg.v_chrdy:
+    elif v_uv >= state.v_chrdy_uv:
         state.mode = PmicMode.normal()
-    elif state.v_harvest >= cfg.v_cold_start and state.p_harvest_nw >= cfg.p_cold_start.nw:
+    elif state.v_harvest_uv >= cfg.v_cold_start.uv and state.p_harvest_nw >= cfg.p_cold_start.nw:
         state.mode = PmicMode.wake_up()
     else:
         state.mode = PmicMode.deep_sleep()
@@ -702,39 +657,33 @@ def run(scenario: Scenario) -> Report:
     state = _State(scenario)
     _set_lux(state, scenario.light_timeline[0][1])
     _settle_initial_mode(state)
-    state.trace.append(
-        TraceRecord(
-            time_us=0,
-            kind="init",
-            mode=state.mode.mode.value,
-            latch_set=state.latch.set,
-            v_store_uv=state.v_store().uv,
-            e_store_nj=state.storage.e_store.nj,
-            note="settled_from_initial_conditions",
-        )
-    )
+    state.trace.append(TraceRecord(0, "init", state.mode.mode.value, state.latch.set, state.v_store_uv(),
+                                   state.e_store_nj, "settled_from_initial_conditions"))
     # The first timeline entry is already in force before settling; only
     # actual changes become events.
     for t, lux in scenario.light_timeline[1:]:
-        state.push(Event(t.us, EventKind.LIGHT_CHANGE, lux=lux))
+        state.push(t.us, _LIGHT_CHANGE, 0, lux)
     for t in scenario.touch.press_times:
-        state.push(Event(t.us, EventKind.TOUCH_PRESS))
-    state.push(Event(scenario.rtc.first_alarm.us, EventKind.RTC_ALARM, gen=state.alarm_gen))
-    state.push(Event(scenario.duration.us, EventKind.SIM_END))
+        state.push(t.us, _TOUCH_PRESS)
+    state.push(scenario.rtc.first_alarm.us, _RTC_ALARM, state.alarm_gen)
+    end_us = scenario.duration.us
+    state.push(end_us, _SIM_END)
     # The opening mode needs its exit crossing on the queue; dispatches
     # keep it current from here on.
     _reschedule_threshold(state)
 
+    queue = state.queue
+    pop = heapq.heappop
     while True:
-        ev = state.pop()
-        if ev.time_us > scenario.duration.us:
+        t_us, kind, _, gen, payload = pop(queue)
+        if t_us > end_us:
             raise SimulationError("event queue ran past the end of the run")
-        _advance_to(state, ev.time_us)
+        _advance_to(state, t_us)
         state.events_dispatched += 1
         if state.events_dispatched > _MAX_EVENTS:
             raise SimulationError("event budget exhausted; scenario is livelocked")
-        _dispatch(state, ev)
-        if ev.kind is EventKind.SIM_END:
+        _dispatch(state, t_us, kind, gen, payload)
+        if kind == _SIM_END:
             break
 
     return _finalize(state)
@@ -742,12 +691,13 @@ def run(scenario: Scenario) -> Report:
 
 def _finalize(state: _State) -> Report:
     scenario = state.scenario
+    state.set_mode(state.mode)  # close the last residency interval
     residency_us = sum(state.time_in_mode.values())
     if residency_us != state.now:
         raise SimulationError(f"mode residency {residency_us} us does not cover the run ({state.now} us)")
 
     e_initial = scenario.storage.e_store.nj
-    e_final = state.storage.e_store.nj
+    e_final = state.e_store_nj
     for name, nj in state.consumed_nj.items():
         if nj < -1e-6:
             raise SimulationError(f"component {name!r} accrued negative energy ({nj} nJ)")
@@ -766,8 +716,8 @@ def _finalize(state: _State) -> Report:
         e_overcharge_discarded=Energy(state.e_discarded_nj),
         e_store_initial=Energy(e_initial),
         e_store_final=Energy(e_final),
-        final_soc=state.storage.soc,
-        final_voltage=state.v_store(),
+        final_soc=e_final / state.e_capacity_nj,
+        final_voltage=Voltage(state.v_store_uv()),
         final_mode=state.mode.mode.value,
         mode_residency=tuple((mode.value, Duration(us)) for mode, us in state.time_in_mode.items()),
         cycles=tuple(state.cycles),

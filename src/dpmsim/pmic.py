@@ -30,6 +30,11 @@ class Mode(enum.Enum):
     SHUTDOWN = "shutdown"
 
 
+# Enum member lookups go through the enum metaclass; the per-event paths
+# compare against these module-level names instead.
+_DEEP_SLEEP, _WAKE_UP, _NORMAL, _OVERCHARGE, _SHUTDOWN = Mode
+
+
 @dataclass(frozen=True)
 class PmicMode:
     """Current mode; Shutdown always carries its grace deadline."""
@@ -134,55 +139,59 @@ def step_mode(current: PmicMode, cfg: PmicConfig, inputs: PmicInputs) -> PmicMod
     need multi-step settling (e.g. WakeUp immediately followed by
     Normal when the store is already charged) re-invoke this per step.
     """
-    fired = fired_transitions(current, cfg, inputs)
-    if len(fired) > 1:
-        raise RuntimeError(f"guard exclusivity violated from {current.mode}: {fired}")
+    return step_mode_plain(
+        current, cfg, inputs.v_store.uv, inputs.v_harvester.uv, inputs.p_harvester.nw, inputs.now.us
+    )
+
+
+def step_mode_plain(
+    current: PmicMode, cfg: PmicConfig, v_store_uv: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int
+) -> PmicMode:
+    """step_mode on plain numbers (uV, uV, nW, us); returns ``current`` itself when no guard fires."""
+    fired = _fired(current, cfg, v_store_uv, v_harvester_uv, p_harvester_nw, now_us)
     if not fired:
         return current
-    return _apply(fired[0], cfg, inputs)
+    if len(fired) > 1:
+        raise RuntimeError(f"guard exclusivity violated from {current.mode}: {[name for name, _ in fired]}")
+    return fired[0][1]
 
 
 def fired_transitions(current: PmicMode, cfg: PmicConfig, inputs: PmicInputs) -> list[str]:
     """Names of all transition guards satisfied right now (normally <= 1)."""
-    v = inputs.v_store
-    fired: list[str] = []
-    if current.mode is Mode.DEEP_SLEEP:
-        if inputs.v_harvester >= cfg.v_cold_start and inputs.p_harvester >= cfg.p_cold_start:
-            fired.append("cold_start")
-    elif current.mode is Mode.WAKE_UP:
-        if v >= cfg.v_chrdy:
-            fired.append("charge_ready")
-    elif current.mode is Mode.NORMAL:
-        if v >= cfg.v_ovch:
-            fired.append("overcharge_enter")
-        if v < cfg.v_chrdy:
-            fired.append("shutdown_enter")
-    elif current.mode is Mode.OVERCHARGE:
-        if v <= cfg.v_ovch - cfg.v_ovch_hysteresis:
-            fired.append("overcharge_exit")
-    elif current.mode is Mode.SHUTDOWN:
+    fired = _fired(current, cfg, inputs.v_store.uv, inputs.v_harvester.uv, inputs.p_harvester.nw, inputs.now.us)
+    return [name for name, _ in fired]
+
+
+def _fired(
+    current: PmicMode, cfg: PmicConfig, v: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int
+) -> tuple[tuple[str, PmicMode], ...]:
+    """(guard name, next mode) for every transition guard satisfied right now."""
+    mode = current.mode
+    if mode is _NORMAL:
+        fired = ()
+        if v >= cfg.v_ovch.uv:
+            fired += (("overcharge_enter", PmicMode.overcharge()),)
+        if v < cfg.v_chrdy.uv:
+            fired += (("shutdown_enter", PmicMode.shutdown(TimePoint(now_us + cfg.grace_window.us))),)
+        return fired
+    if mode is _DEEP_SLEEP:
+        if v_harvester_uv >= cfg.v_cold_start.uv and p_harvester_nw >= cfg.p_cold_start.nw:
+            return (("cold_start", PmicMode.wake_up()),)
+    elif mode is _WAKE_UP:
+        if v >= cfg.v_chrdy.uv:
+            return (("charge_ready", PmicMode.normal()),)
+    elif mode is _OVERCHARGE:
+        if v <= cfg.v_ovch.uv - cfg.v_ovch_hysteresis.uv:
+            return (("overcharge_exit", PmicMode.normal()),)
+    elif mode is _SHUTDOWN:
         # Recovery wins at the boundary instant; the engine never
         # evaluates a Shutdown mode after its grace deadline has been
         # dispatched, so the two guards stay exclusive via v_store.
-        if v >= cfg.v_chrdy:
-            fired.append("shutdown_recover")
-        elif inputs.now >= current.grace_deadline:
-            fired.append("grace_expired")
-    return fired
-
-
-def _apply(guard: str, cfg: PmicConfig, inputs: PmicInputs) -> PmicMode:
-    if guard == "cold_start":
-        return PmicMode.wake_up()
-    if guard in ("charge_ready", "shutdown_recover", "overcharge_exit"):
-        return PmicMode.normal()
-    if guard == "overcharge_enter":
-        return PmicMode.overcharge()
-    if guard == "shutdown_enter":
-        return PmicMode.shutdown(inputs.now + cfg.grace_window)
-    if guard == "grace_expired":
-        return PmicMode.deep_sleep()
-    raise RuntimeError(f"unknown guard {guard!r}")
+        if v >= cfg.v_chrdy.uv:
+            return (("shutdown_recover", PmicMode.normal()),)
+        if now_us >= current.grace_deadline.us:
+            return (("grace_expired", PmicMode.deep_sleep()),)
+    return ()
 
 
 def rails_for(mode: PmicMode, latch_set: bool) -> RailStates:

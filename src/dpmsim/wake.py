@@ -105,7 +105,3 @@ def mcu_clear(latch: LatchState, cmd: ClearCommand) -> LatchState:
     not checked here.
     """
     return LatchState.cleared(cmd.at)
-
-
-def read_wake_source(latch: LatchState) -> WakeSource:
-    return latch.wake_source

@@ -53,7 +53,7 @@ def test_crossing_none_when_power_points_away():
     st.mode = PmicMode.deep_sleep()  # power split is all zero here
     assert find_threshold_crossing(st, CrossKind.OVCH_UP, 4_000_000) is None
     st.mode = PmicMode.wake_up()  # dark, zero idle: p_net is exactly 0
-    st.storage = st.storage.with_energy(Energy(1e6))  # just above empty
+    st.e_store_nj = 1e6  # just above empty
     assert find_threshold_crossing(st, CrossKind.CHRDY_UP, 3_300_000) is None
     assert find_threshold_crossing(st, CrossKind.DEPLETED, 0) is None
 
@@ -70,8 +70,8 @@ def test_crossing_charge_time_is_energy_over_power():
     st = _state()
     _set_lux(st, Illuminance(1.0))  # 1000 nW in, nothing out
     st.mode = PmicMode.wake_up()
-    e_target = 0.05 * st.storage.e_capacity.nj  # 3.3 V on the default curve
-    st.storage = st.storage.with_energy(Energy(e_target - 1e6))
+    e_target = 0.05 * st.e_capacity_nj  # 3.3 V on the default curve
+    st.e_store_nj = e_target - 1e6
     t = find_threshold_crossing(st, CrossKind.CHRDY_UP, 3_300_000)
     # 1 mJ short at 1 uW net: one million milliseconds, up to float dust.
     assert abs(t - 1_000_000_000) <= 1
@@ -82,7 +82,7 @@ def test_crossing_depletion_time_is_exact():
     doc = ZERO_IDLE.replace("i_pmic: 0nA", "i_pmic: 1000nA")
     st = _state(doc)
     st.mode = PmicMode.wake_up()  # dark: drains at exactly 1000 nW
-    st.storage = st.storage.with_energy(Energy(1_000_000.0))
+    st.e_store_nj = 1_000_000.0
     assert find_threshold_crossing(st, CrossKind.DEPLETED, 0) == 1_000_000_000
 
 

@@ -19,7 +19,6 @@ from dpmsim.wake import (
     mcu_clear,
     on_rtc_alarm,
     on_touch,
-    read_wake_source,
 )
 
 
@@ -31,7 +30,6 @@ def test_cleared_latch_has_no_source():
     latch = LatchState.cleared()
     assert not latch.set
     assert latch.wake_source is WakeSource.NONE
-    assert read_wake_source(latch) is WakeSource.NONE
 
 
 def test_clear_latch_cannot_carry_a_source():
