@@ -35,10 +35,10 @@ from .energy import (
     harvest_voltage,
     power_of,
 )
-from .pmic import Mode, PmicMode, step_mode_plain
+from .pmic import Mode, PmicMode, stage2, step_mode
 from .quantities import Duration, Energy, Illuminance, Power, TimePoint, Voltage
 from .scenario import Scenario, VariantKind
-from .wake import ClearCommand, ClearVia, LatchState, WakeSource, mcu_clear, on_rtc_alarm, on_touch
+from .wake import LatchState, WakeSource, on_rtc_alarm, on_touch
 
 ALWAYS_ON_COMPONENT = "always_on"
 
@@ -226,11 +226,6 @@ class _State:
 
     def v_store_uv(self) -> int:
         return round(_store_uv(self.ocv_segments, self.e_store_nj, self.e_capacity_nj))
-
-    def stage2(self) -> bool:
-        """Switched compute rail up: a charged store and a set latch."""
-        mode = self.mode.mode
-        return self.latch.set and (mode is _NORMAL or mode is _OVERCHARGE)
 
     def set_mode(self, mode: PmicMode) -> None:
         """Enter a mode, closing the residency interval of the one it leaves."""
@@ -474,16 +469,11 @@ def _set_lux(state: _State, lux: Illuminance) -> None:
 
 
 def _check_invariants(state: _State) -> None:
-    mode = state.mode.mode
     latch = state.latch
-    ao_out = mode is not _DEEP_SLEEP
-    charged = mode is _NORMAL or mode is _OVERCHARGE
-    if charged and latch.set and not ao_out:
-        raise SimulationError("switched rail up while the always-on rail is down")
-    if state.stage2() and not (charged and latch.set):
-        raise SimulationError("Stage2 active without a charged store and a set latch")
-    if ao_out and mode is _DEEP_SLEEP:
-        raise SimulationError("always-on rail up in DeepSleep")
+    # Steps start and stop on Stage2 edges; one left running means an
+    # edge was missed.
+    if state.active_step is not None and not stage2(state.mode.mode, latch.set):
+        raise SimulationError(f"load step {state.active_step.name!r} running without Stage2 power")
     e = state.e_store_nj
     if not 0.0 <= e <= state.e_capacity_nj:
         raise SimulationError(f"stored energy {e} nJ outside [0, capacity]")
@@ -522,7 +512,7 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
 
     mode = state.mode.mode
     powered = mode is not _DEEP_SLEEP
-    stage2_before = state.stage2()
+    stage2_before = stage2(mode, state.latch.set)
 
     if kind == _RTC_ALARM:
         _flush_cycle(state)
@@ -563,10 +553,7 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
             state.record_anomaly("clear_skipped_unpowered", "latch clear arrived without Stage2 power")
             note_parts.append("clear_skipped_unpowered")
         else:
-            if not state.latch.set:
-                state.record_anomaly("clear_while_clear", "latch clear issued while already clear")
-                note_parts.append("anomalous_noop_clear")
-            state.latch = mcu_clear(state.latch, ClearCommand(ClearVia.I2C_COMMAND, TimePoint(t_us)))
+            state.latch = LatchState.cleared(TimePoint(t_us))
             note_parts.append("latch_cleared")
             rtc = state.scenario.rtc
             if rtc.rearm_on_clear:
@@ -592,7 +579,7 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
         # brown-out the hold exists to break.
         pass
     else:
-        new_mode = step_mode_plain(
+        new_mode = step_mode(
             state.mode, state.scenario.pmic, v_uv, state.v_harvest_uv, state.p_harvest_nw, state.now
         )
         if new_mode is not state.mode:
@@ -607,7 +594,7 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
         state.latch = LatchState.cleared(TimePoint(state.now))
         note_parts.append("latch_lost_power")
 
-    stage2_after = state.stage2()
+    stage2_after = stage2(state.mode.mode, state.latch.set)
     if stage2_after and not stage2_before:
         state.next_step_index = 0
         _start_next_step(state)

@@ -1,9 +1,8 @@
-"""Power-management IC mode machine and rail gating.
+"""Power-management IC mode machine and the Stage2 gating rule.
 
 The PMIC moves between five modes based on the storage-element voltage,
 the harvester state, and a grace timer. Mode plus the hardware wake
-latch determine which output rails are energised, which in turn defines
-the node's operating stage:
+latch decide the node's operating stage (see stage2):
 
   Stage1: only the always-on rail (wake sources and latch logic) is up.
   Stage2: the switched compute rail is additionally up, which requires
@@ -19,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .quantities import Current, Duration, Power, TimePoint, Voltage
+from .quantities import Duration, Power, TimePoint, Voltage
 
 
 class Mode(enum.Enum):
@@ -82,7 +81,6 @@ class PmicConfig:
     v_ovch: Voltage = Voltage.from_volts(3.6)
     v_ovch_hysteresis: Voltage = Voltage.from_millivolts(50)
     grace_window: Duration = Duration.from_millis(600)
-    i_quiescent: Current = Current(200)
 
     def validate(self) -> None:
         if self.v_chrdy >= self.v_ovch:
@@ -95,59 +93,20 @@ class PmicConfig:
             raise ValueError("hysteresis exit voltage falls below v_chrdy")
         if self.grace_window.us <= 0:
             raise ValueError("grace_window must be positive")
-        if self.i_quiescent.na < 0:
-            raise ValueError("i_quiescent must be non-negative")
 
 
-@dataclass(frozen=True)
-class PmicInputs:
-    """Everything a single mode-machine step may look at."""
-
-    v_store: Voltage
-    v_harvester: Voltage
-    p_harvester: Power
-    latch_set: bool
-    now: TimePoint
-
-
-@dataclass(frozen=True)
-class RailStates:
-    """Which outputs are energised, and at what potential."""
-
-    ao_out: bool
-    lv_out: bool
-    hv_out_available: bool
-    rail_voltage_ao: Voltage = Voltage.from_volts(2.2)
-    rail_voltage_lv: Voltage = Voltage.from_volts(2.2)
-    rail_voltage_hv: Voltage = Voltage.from_volts(3.3)
-
-    def __post_init__(self) -> None:
-        if self.lv_out and not self.ao_out:
-            raise ValueError("lv_out cannot be up while ao_out is down")
-
-
-class Stage(enum.Enum):
-    NOT_OPERATING = "not_operating"
-    STAGE1 = "stage1"
-    STAGE2 = "stage2"
-
-
-def step_mode(current: PmicMode, cfg: PmicConfig, inputs: PmicInputs) -> PmicMode:
-    """Apply at most one mode transition and return the new mode.
-
-    The guards out of any one mode are mutually exclusive; callers that
-    need multi-step settling (e.g. WakeUp immediately followed by
-    Normal when the store is already charged) re-invoke this per step.
-    """
-    return step_mode_plain(
-        current, cfg, inputs.v_store.uv, inputs.v_harvester.uv, inputs.p_harvester.nw, inputs.now.us
-    )
-
-
-def step_mode_plain(
+def step_mode(
     current: PmicMode, cfg: PmicConfig, v_store_uv: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int
 ) -> PmicMode:
-    """step_mode on plain numbers (uV, uV, nW, us); returns ``current`` itself when no guard fires."""
+    """Apply at most one mode transition and return the new mode.
+
+    Inputs are plain numbers: store and harvester voltage in uV,
+    harvester power in nW, the clock in us. Returns ``current`` itself
+    when no guard fires. The guards out of any one mode are mutually
+    exclusive; callers that need multi-step settling (e.g. WakeUp
+    immediately followed by Normal when the store is already charged)
+    re-invoke this per step.
+    """
     fired = _fired(current, cfg, v_store_uv, v_harvester_uv, p_harvester_nw, now_us)
     if not fired:
         return current
@@ -156,9 +115,11 @@ def step_mode_plain(
     return fired[0][1]
 
 
-def fired_transitions(current: PmicMode, cfg: PmicConfig, inputs: PmicInputs) -> list[str]:
-    """Names of all transition guards satisfied right now (normally <= 1)."""
-    fired = _fired(current, cfg, inputs.v_store.uv, inputs.v_harvester.uv, inputs.p_harvester.nw, inputs.now.us)
+def fired_transitions(
+    current: PmicMode, cfg: PmicConfig, v_store_uv: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int
+) -> list[str]:
+    """Names of all transition guards satisfied right now (normally <= 1); same arguments as step_mode."""
+    fired = _fired(current, cfg, v_store_uv, v_harvester_uv, p_harvester_nw, now_us)
     return [name for name, _ in fired]
 
 
@@ -194,27 +155,6 @@ def _fired(
     return ()
 
 
-def rails_for(mode: PmicMode, latch_set: bool) -> RailStates:
-    """Rail gating for a mode/latch pair.
-
-    The always-on rail is cut only in DeepSleep (the store is considered
-    depleted there); the switched compute rail needs both a charged
-    store and a set wake latch; the boost rail is merely available in
-    the charged modes and its loads are accounted per load step.
-    """
-    powered = mode.mode is not Mode.DEEP_SLEEP
-    charged = mode.mode in (Mode.NORMAL, Mode.OVERCHARGE)
-    return RailStates(
-        ao_out=powered,
-        lv_out=charged and latch_set,
-        hv_out_available=charged,
-    )
-
-
-def operating_stage(mode: PmicMode, latch_set: bool) -> Stage:
-    rails = rails_for(mode, latch_set)
-    if rails.lv_out:
-        return Stage.STAGE2
-    if mode.mode in (Mode.NORMAL, Mode.OVERCHARGE):
-        return Stage.STAGE1
-    return Stage.NOT_OPERATING
+def stage2(mode: Mode, latch_set: bool) -> bool:
+    """Switched compute rail up: a charged store (Normal or Overcharge) and a set latch."""
+    return latch_set and (mode is _NORMAL or mode is _OVERCHARGE)

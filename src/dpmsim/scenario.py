@@ -358,8 +358,9 @@ def parse_scenario(text: str) -> Scenario:
             "v_ovch_hysteresis", lambda v: parse_voltage(_text(v)), PmicConfig.v_ovch_hysteresis, missing=flagged
         ),
         grace_window=pmic_sec.scalar("grace_window", lambda v: parse_duration(_text(v)), PmicConfig.grace_window),
-        i_quiescent=pmic_sec.scalar("i_quiescent", lambda v: parse_current(_text(v)), PmicConfig.i_quiescent),
     )
+    # Schema v1 still carries pmic.i_quiescent; the drain it names is always_on.i_pmic.
+    i_quiescent = pmic_sec.scalar("i_quiescent", lambda v: parse_current(_text(v)), None)
     pmic_sec.reject_unknown()
     for key in flagged:
         default = getattr(PmicConfig, key)
@@ -384,6 +385,11 @@ def parse_scenario(text: str) -> Scenario:
         ),
     )
     always_sec.reject_unknown()
+    if i_quiescent is not None and i_quiescent != always_on.i_pmic:
+        raise ScenarioError(
+            f"{pmic_sec.where('i_quiescent')} is {i_quiescent.na} nA but {always_sec.where('i_pmic')} "
+            f"is {always_on.i_pmic.na} nA; the two name the same PMIC drain and must agree"
+        )
 
     storage_sec = root.section("storage")
     curve_nodes = storage_sec.sequence("ocv_curve")
@@ -415,7 +421,6 @@ def parse_scenario(text: str) -> Scenario:
     rtc = RtcConfig(
         alarm_period=rtc_sec.scalar("alarm_period", lambda v: parse_duration(_text(v)), RtcConfig.alarm_period),
         first_alarm=rtc_sec.scalar("first_alarm", lambda v: parse_timepoint(_text(v)), RtcConfig.first_alarm),
-        i_quiescent=always_on.i_rtc,
         rearm_on_clear=rtc_sec.scalar("rearm_on_clear", _bool, False),
     )
     rtc_sec.reject_unknown()
@@ -431,7 +436,7 @@ def parse_scenario(text: str) -> Scenario:
             except ScenarioError as exc:
                 raise ScenarioError(f"touch.press_times[{i}] (line {entry.line}): {exc}") from exc
         presses = tuple(press_list)
-    touch = TouchScript(press_times=presses, i_quiescent=always_on.i_touch)
+    touch = TouchScript(press_times=presses)
     touch_sec.reject_unknown()
 
     harv_sec = root.section("harvester")
@@ -595,7 +600,7 @@ def canonical_dict(s: Scenario) -> dict:
             "v_ovch": f"{s.pmic.v_ovch.uv}uV",
             "v_ovch_hysteresis": f"{s.pmic.v_ovch_hysteresis.uv}uV",
             "grace_window": f"{s.pmic.grace_window.us}us",
-            "i_quiescent": f"{s.pmic.i_quiescent.na}nA",
+            "i_quiescent": f"{s.always_on.i_pmic.na}nA",
         },
         "storage": {
             "capacity": f"{_fmt_float(s.storage.capacity_mah)}mAh",

@@ -2,9 +2,9 @@
 
 A touch press or an RTC alarm sets a hardware latch; the compute domain
 stays powered for as long as the latch is set, and software clears it
-(over I2C or a dedicated disable line) once its work is done. Setting
-the latch costs nothing: the always-on drain is the same whether the
-latch is set or clear.
+once its work is done. Over I2C or a dedicated disable line, a clear has
+the same effect: LatchState.cleared(t). Setting the latch costs nothing:
+the always-on drain is the same whether the latch is set or clear.
 """
 
 from __future__ import annotations
@@ -12,24 +12,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .quantities import Current, Duration, TimePoint
+from .quantities import Duration, TimePoint
 
 
 class WakeSource(enum.Enum):
     NONE = "none"
     TOUCH = "touch"
     RTC = "rtc"
-
-
-class ClearVia(enum.Enum):
-    I2C_COMMAND = "i2c_command"
-    SW_DISABLE_SIGNAL = "sw_disable_signal"
-
-
-@dataclass(frozen=True)
-class ClearCommand:
-    via: ClearVia
-    at: TimePoint
 
 
 @dataclass(frozen=True)
@@ -58,14 +47,11 @@ class RtcConfig:
 
     alarm_period: Duration = Duration.from_minutes(10)
     first_alarm: TimePoint = TimePoint.zero()
-    i_quiescent: Current = Current(45)
     rearm_on_clear: bool = False
 
     def validate(self) -> None:
         if self.alarm_period.us <= 0:
             raise ValueError("alarm_period must be positive")
-        if self.i_quiescent.na < 0:
-            raise ValueError("rtc i_quiescent must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -73,14 +59,11 @@ class TouchScript:
     """Scripted press times, strictly increasing."""
 
     press_times: tuple[TimePoint, ...] = ()
-    i_quiescent: Current = Current(65)
 
     def validate(self) -> None:
         for a, b in zip(self.press_times, self.press_times[1:]):
             if b <= a:
                 raise ValueError(f"touch press times must be strictly increasing ({a.us} -> {b.us})")
-        if self.i_quiescent.na < 0:
-            raise ValueError("touch i_quiescent must be non-negative")
 
 
 def on_touch(latch: LatchState, t: TimePoint) -> LatchState:
@@ -96,12 +79,3 @@ def on_rtc_alarm(latch: LatchState, t: TimePoint, rtc: RtcConfig) -> tuple[Latch
         raise RuntimeError(f"alarm at {t.us} us precedes last latch change {latch.last_change.us} us")
     return LatchState(True, WakeSource.RTC, t), t + rtc.alarm_period
 
-
-def mcu_clear(latch: LatchState, cmd: ClearCommand) -> LatchState:
-    """Clear the latch; both clear paths behave identically.
-
-    Clearing an already-clear latch is a no-op the engine reports as an
-    anomaly. Power gating (Stage2 active) is the engine's precondition,
-    not checked here.
-    """
-    return LatchState.cleared(cmd.at)

@@ -129,11 +129,10 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
         v_ovch=v_ovch,
         v_ovch_hysteresis=Voltage.from_millivolts(rng.randrange(30, 80)),
         grace_window=_ms(rng, 400, 900),
-        i_quiescent=Current(rng.randrange(100, 400)),
     )
 
     always_on = AlwaysOnBudget(
-        i_pmic=pmic.i_quiescent,
+        i_pmic=Current(rng.randrange(100, 400)),
         i_rtc=Current(rng.randrange(20, 80)),
         i_touch=Current(rng.randrange(30, 90)),
         i_extra_leakage=Current(rng.randrange(50, 250)),
@@ -207,10 +206,7 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
 
     n_touch = rng.randint(0, 3)
     press_ms = sorted(rng.sample(range(1, duration.us // 1000), k=n_touch))
-    touch = TouchScript(
-        press_times=tuple(TimePoint(ms * 1000) for ms in press_ms),
-        i_quiescent=always_on.i_touch,
-    )
+    touch = TouchScript(press_times=tuple(TimePoint(ms * 1000) for ms in press_ms))
 
     scenario = Scenario(
         schema_version=1,
@@ -222,7 +218,6 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
         rtc=RtcConfig(
             alarm_period=period,
             first_alarm=TimePoint(rng.randrange(0, period.us // 1000) * 1000),
-            i_quiescent=always_on.i_rtc,
             rearm_on_clear=rng.random() < 0.5,
         ),
         touch=touch,

@@ -18,29 +18,11 @@ from dpmsim.analysis import compare_dpm
 from dpmsim.energy import AlwaysOnBudget, always_on_power, cycle_energy, soc_at_voltage
 from dpmsim.engine import format_trace, run
 from dpmsim.oracle import compare_with_engine, run_oracle
-from dpmsim.pmic import (
-    PmicConfig,
-    PmicInputs,
-    PmicMode,
-    fired_transitions,
-    rails_for,
-    step_mode,
-)
-from dpmsim.pmic import Mode
-from dpmsim.quantities import (
-    Current,
-    Duration,
-    Energy,
-    Power,
-    TimePoint,
-    Voltage,
-    energy_of,
-    power_of,
-)
+from dpmsim.pmic import Mode, PmicMode, fired_transitions, stage2, step_mode
+from dpmsim.quantities import Current, Duration, Energy, TimePoint, Voltage, energy_of, power_of
 from dpmsim.report import report_dict
 from dpmsim.scenario import with_constant_light, with_initial_soc
-from dpmsim.wake import ClearCommand, ClearVia, LatchState, WakeSource, mcu_clear, on_touch
-from dpmsim.wake import RtcConfig, on_rtc_alarm
+from dpmsim.wake import LatchState, RtcConfig, WakeSource, on_rtc_alarm, on_touch
 from scenario_gen import random_scenario
 
 
@@ -110,14 +92,10 @@ def test_c06_mode_machine_grid_sweep(case_study):
     """Exhaustive sweep over storage voltages, harvester states, latch and
     clock positions: guards stay mutually exclusive, the overcharge
     hysteresis band holds both modes, Shutdown grace is exactly 600 ms,
-    and lv_out implies the latch plus a charged mode. Zero violations."""
+    and Stage2 implies the latch plus a charged mode. Zero violations."""
     cfg = case_study.pmic
     exit_uv = cfg.v_ovch.uv - cfg.v_ovch_hysteresis.uv
-    harvester_states = (
-        (Voltage(0), Power(0.0)),
-        (Voltage(300_000), Power(1_000.0)),
-        (Voltage(1_200_000), Power(50_000.0)),
-    )
+    harvester_states = ((0, 0.0), (300_000, 1_000.0), (1_200_000, 50_000.0))  # (uV, nW)
     deadline = TimePoint(500_000)
     modes = (
         PmicMode.deep_sleep(),
@@ -132,20 +110,14 @@ def test_c06_mode_machine_grid_sweep(case_study):
         for v_h, p_h in harvester_states:
             for latch in (False, True):
                 for now_us in (0, 500_000, 500_001):
-                    inputs = PmicInputs(
-                        v_store=Voltage(v_uv),
-                        v_harvester=v_h,
-                        p_harvester=p_h,
-                        latch_set=latch,
-                        now=TimePoint(now_us),
-                    )
+                    inputs = (v_uv, v_h, p_h, now_us)
                     for mode in modes:
                         checked += 1
-                        fired = fired_transitions(mode, cfg, inputs)
+                        fired = fired_transitions(mode, cfg, *inputs)
                         if len(fired) > 1:
                             violations.append(f"exclusivity {mode.mode} {v_uv} {fired}")
                             continue
-                        new = step_mode(mode, cfg, inputs)
+                        new = step_mode(mode, cfg, *inputs)
                         if mode.mode is Mode.OVERCHARGE:
                             should_exit = v_uv <= exit_uv
                             if should_exit != (new.mode is Mode.NORMAL):
@@ -161,8 +133,7 @@ def test_c06_mode_machine_grid_sweep(case_study):
                             should = v_uv < cfg.v_chrdy.uv and now_us >= deadline.us
                             if expired != should:
                                 violations.append(f"grace expiry {v_uv} {now_us} -> {new.mode}")
-                        rails = rails_for(new, latch)
-                        if rails.lv_out and not (
+                        if stage2(new.mode, latch) and not (
                             latch and new.mode in (Mode.NORMAL, Mode.OVERCHARGE)
                         ):
                             violations.append(f"rail chain {new.mode} latch={latch}")
@@ -177,13 +148,7 @@ def test_c07_latch_invariants_over_random_events():
     rng = random.Random(0x1A7C)
     rtc = RtcConfig()
     latch = LatchState.cleared()
-    modes = (
-        PmicMode.deep_sleep(),
-        PmicMode.wake_up(),
-        PmicMode.normal(),
-        PmicMode.overcharge(),
-        PmicMode.shutdown(TimePoint(10**12)),
-    )
+    modes = tuple(Mode)
     expected_source = WakeSource.NONE
     now = 0
     events = 30_000
@@ -200,10 +165,8 @@ def test_c07_latch_invariants_over_random_events():
             expected_source = WakeSource.RTC
         else:
             mode = rng.choice(modes)
-            powered = rails_for(mode, latch.set).lv_out
-            if powered:
-                via = rng.choice((ClearVia.I2C_COMMAND, ClearVia.SW_DISABLE_SIGNAL))
-                latch = mcu_clear(latch, ClearCommand(at=t, via=via))
+            if stage2(mode, latch.set):
+                latch = LatchState.cleared(t)
                 expected_source = WakeSource.NONE
                 clears_applied += 1
             else:

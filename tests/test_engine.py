@@ -10,8 +10,11 @@ import pytest
 
 from dpmsim.engine import (
     CrossKind,
+    SimulationError,
+    _check_invariants,
     _set_lux,
     _State,
+    _Step,
     find_threshold_crossing,
     format_trace,
     idle_power,
@@ -20,6 +23,7 @@ from dpmsim.engine import (
 from dpmsim.pmic import PmicMode
 from dpmsim.quantities import Energy, Illuminance, TimePoint
 from dpmsim.scenario import parse_scenario, with_constant_light, with_initial_soc
+from dpmsim.wake import LatchState, on_touch
 
 ZERO_IDLE = """
 schema_version: 1
@@ -94,6 +98,17 @@ def test_crossing_target_outside_curve_is_rejected():
 
 
 # -- frozen case-study run --------------------------------------------------
+
+
+def test_step_running_without_stage2_breaks_an_invariant():
+    st = _state()
+    st.mode = PmicMode.normal()
+    st.latch = on_touch(st.latch, TimePoint(0))
+    st.active_step = _Step("probe", 1_000.0, 1_000)
+    _check_invariants(st)  # Stage2 holds: a running step is fine
+    st.latch = LatchState.cleared(TimePoint(0))
+    with pytest.raises(SimulationError, match="without Stage2"):
+        _check_invariants(st)
 
 
 def test_case_study_frozen_numbers(case_study):

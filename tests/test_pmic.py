@@ -6,18 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpmsim.pmic import (
-    Mode,
-    PmicConfig,
-    PmicInputs,
-    PmicMode,
-    Stage,
-    fired_transitions,
-    operating_stage,
-    rails_for,
-    step_mode,
-)
-from dpmsim.quantities import Current, Duration, Power, TimePoint, Voltage
+from dpmsim.pmic import Mode, PmicConfig, PmicMode, fired_transitions, stage2, step_mode
+from dpmsim.quantities import Duration, TimePoint, Voltage
 
 CFG = PmicConfig()  # documented defaults: 3.0 V / 3.6 V / 50 mV / 600 ms
 
@@ -26,16 +16,10 @@ def _inp(
     v_store_uv: int,
     v_harv_uv: int = 0,
     p_harv_nw: float = 0.0,
-    latch: bool = False,
     now_us: int = 0,
-) -> PmicInputs:
-    return PmicInputs(
-        v_store=Voltage(v_store_uv),
-        v_harvester=Voltage(v_harv_uv),
-        p_harvester=Power(p_harv_nw),
-        latch_set=latch,
-        now=TimePoint(now_us),
-    )
+) -> tuple[int, int, float, int]:
+    """step_mode's plain-number inputs after the mode and config."""
+    return (v_store_uv, v_harv_uv, p_harv_nw, now_us)
 
 
 # -- single transitions -------------------------------------------------
@@ -43,49 +27,49 @@ def _inp(
 
 def test_cold_start_needs_both_voltage_and_power():
     ds = PmicMode.deep_sleep()
-    assert step_mode(ds, CFG, _inp(0, 300_000, 2000.0)).mode is Mode.WAKE_UP
-    assert step_mode(ds, CFG, _inp(0, 299_999, 2000.0)).mode is Mode.DEEP_SLEEP
-    assert step_mode(ds, CFG, _inp(0, 300_000, 1999.9)).mode is Mode.DEEP_SLEEP
+    assert step_mode(ds, CFG, *_inp(0, 300_000, 2000.0)).mode is Mode.WAKE_UP
+    assert step_mode(ds, CFG, *_inp(0, 299_999, 2000.0)).mode is Mode.DEEP_SLEEP
+    assert step_mode(ds, CFG, *_inp(0, 300_000, 1999.9)).mode is Mode.DEEP_SLEEP
     # The store level is irrelevant to the cold-start guard.
-    assert step_mode(ds, CFG, _inp(3_600_000, 0, 0.0)).mode is Mode.DEEP_SLEEP
+    assert step_mode(ds, CFG, *_inp(3_600_000, 0, 0.0)).mode is Mode.DEEP_SLEEP
 
 
 def test_wake_up_to_normal_at_charge_ready():
     wu = PmicMode.wake_up()
-    assert step_mode(wu, CFG, _inp(3_000_000)).mode is Mode.NORMAL
-    assert step_mode(wu, CFG, _inp(2_999_999)).mode is Mode.WAKE_UP
+    assert step_mode(wu, CFG, *_inp(3_000_000)).mode is Mode.NORMAL
+    assert step_mode(wu, CFG, *_inp(2_999_999)).mode is Mode.WAKE_UP
 
 
 def test_normal_to_overcharge_at_threshold():
     normal = PmicMode.normal()
-    assert step_mode(normal, CFG, _inp(3_600_000)).mode is Mode.OVERCHARGE
-    assert step_mode(normal, CFG, _inp(3_599_999)).mode is Mode.NORMAL
+    assert step_mode(normal, CFG, *_inp(3_600_000)).mode is Mode.OVERCHARGE
+    assert step_mode(normal, CFG, *_inp(3_599_999)).mode is Mode.NORMAL
 
 
 def test_normal_to_shutdown_below_charge_ready():
     normal = PmicMode.normal()
-    out = step_mode(normal, CFG, _inp(2_999_999, now_us=42))
+    out = step_mode(normal, CFG, *_inp(2_999_999, now_us=42))
     assert out.mode is Mode.SHUTDOWN
     assert out.grace_deadline == TimePoint(42) + Duration.from_millis(600)
     # Boundary equality belongs to the higher mode: no shutdown at 3.0 V.
-    assert step_mode(normal, CFG, _inp(3_000_000)).mode is Mode.NORMAL
+    assert step_mode(normal, CFG, *_inp(3_000_000)).mode is Mode.NORMAL
 
 
 def test_overcharge_exits_through_hysteresis():
     ovch = PmicMode.overcharge()
     exit_uv = 3_600_000 - 50_000
-    assert step_mode(ovch, CFG, _inp(exit_uv)).mode is Mode.NORMAL
-    assert step_mode(ovch, CFG, _inp(exit_uv + 1)).mode is Mode.OVERCHARGE
+    assert step_mode(ovch, CFG, *_inp(exit_uv)).mode is Mode.NORMAL
+    assert step_mode(ovch, CFG, *_inp(exit_uv + 1)).mode is Mode.OVERCHARGE
     # Dropping below v_ovch alone does not leave Overcharge.
-    assert step_mode(ovch, CFG, _inp(3_599_999)).mode is Mode.OVERCHARGE
+    assert step_mode(ovch, CFG, *_inp(3_599_999)).mode is Mode.OVERCHARGE
 
 
 def test_shutdown_recovery_beats_grace_expiry():
     shut = PmicMode.shutdown(TimePoint(1_000))
     # Both conditions hold at once; recovery wins.
-    assert step_mode(shut, CFG, _inp(3_000_000, now_us=1_000)).mode is Mode.NORMAL
-    assert step_mode(shut, CFG, _inp(2_999_999, now_us=1_000)).mode is Mode.DEEP_SLEEP
-    assert step_mode(shut, CFG, _inp(2_999_999, now_us=999)).mode is Mode.SHUTDOWN
+    assert step_mode(shut, CFG, *_inp(3_000_000, now_us=1_000)).mode is Mode.NORMAL
+    assert step_mode(shut, CFG, *_inp(2_999_999, now_us=1_000)).mode is Mode.DEEP_SLEEP
+    assert step_mode(shut, CFG, *_inp(2_999_999, now_us=999)).mode is Mode.SHUTDOWN
 
 
 def test_shutdown_mode_carries_its_deadline():
@@ -106,8 +90,6 @@ def test_config_validation():
         ).validate()
     with pytest.raises(ValueError):
         PmicConfig(grace_window=Duration(0)).validate()
-    with pytest.raises(ValueError):
-        PmicConfig(i_quiescent=Current(-1)).validate()
     CFG.validate()
 
 
@@ -134,61 +116,38 @@ def test_guard_exclusivity_on_1mv_grid():
     """At most one guard fires from any mode, for every millivolt level.
 
     The sweep covers [0, v_ovch + 100 mV] in 1 mV steps, every harvester
-    state, both latch values, and clock instants on both sides of the
-    grace deadline.
+    state, and clock instants on both sides of the grace deadline. The
+    latch is not an input of the mode machine.
     """
     deadline = TimePoint(500_000)
     violations = []
     for uv in range(0, CFG.v_ovch.uv + 100_000 + 1, 1_000):
         for v_harv, p_harv in _HARVESTER_STATES:
-            for latch in (False, True):
-                for now_us in (0, 500_000, 500_001):
-                    inputs = _inp(uv, v_harv, p_harv, latch, now_us)
-                    for mode in _modes_at(deadline):
-                        fired = fired_transitions(mode, CFG, inputs)
-                        if len(fired) > 1:
-                            violations.append((mode.mode, uv, fired))
+            for now_us in (0, 500_000, 500_001):
+                inputs = _inp(uv, v_harv, p_harv, now_us)
+                for mode in _modes_at(deadline):
+                    fired = fired_transitions(mode, CFG, *inputs)
+                    if len(fired) > 1:
+                        violations.append((mode.mode, uv, fired))
     assert violations == []
 
 
 def test_step_mode_never_raises_on_grid():
     deadline = TimePoint(500_000)
     for uv in range(0, CFG.v_ovch.uv + 100_000 + 1, 1_000):
-        inputs = _inp(uv, 1_200_000, 50_000.0, True, 500_000)
+        inputs = _inp(uv, 1_200_000, 50_000.0, 500_000)
         for mode in _modes_at(deadline):
-            step_mode(mode, CFG, inputs)
+            step_mode(mode, CFG, *inputs)
 
 
-# -- rails and stages ----------------------------------------------------
+# -- the Stage2 rule -------------------------------------------------------
 
 
-def test_rail_implication_chain():
-    for mode in _modes_at(TimePoint(10)):
+def test_stage2_needs_a_charged_store_and_a_set_latch():
+    for mode in Mode:
         for latch in (False, True):
-            rails = rails_for(mode, latch)
-            if rails.lv_out:
-                assert rails.ao_out, "switched rail up implies always-on rail up"
-            charged = mode.mode in (Mode.NORMAL, Mode.OVERCHARGE)
-            assert rails.lv_out == (charged and latch)
-            assert rails.hv_out_available == charged
-            assert rails.ao_out == (mode.mode is not Mode.DEEP_SLEEP)
-
-
-def test_operating_stage_mapping():
-    assert operating_stage(PmicMode.normal(), True) is Stage.STAGE2
-    assert operating_stage(PmicMode.overcharge(), True) is Stage.STAGE2
-    assert operating_stage(PmicMode.normal(), False) is Stage.STAGE1
-    assert operating_stage(PmicMode.overcharge(), False) is Stage.STAGE1
-    assert operating_stage(PmicMode.wake_up(), True) is Stage.NOT_OPERATING
-    assert operating_stage(PmicMode.shutdown(TimePoint(1)), True) is Stage.NOT_OPERATING
-    assert operating_stage(PmicMode.deep_sleep(), False) is Stage.NOT_OPERATING
-
-
-def test_rail_voltages_fixed():
-    rails = rails_for(PmicMode.normal(), True)
-    assert rails.rail_voltage_ao == Voltage.from_volts(2.2)
-    assert rails.rail_voltage_lv == Voltage.from_volts(2.2)
-    assert rails.rail_voltage_hv == Voltage.from_volts(3.3)
+            charged = mode in (Mode.NORMAL, Mode.OVERCHARGE)
+            assert stage2(mode, latch) == (charged and latch), (mode, latch)
 
 
 # -- randomized single-step properties ------------------------------------
@@ -200,13 +159,12 @@ def _any_inputs(draw):
         draw(st.integers(min_value=0, max_value=5_000_000)),
         draw(st.integers(min_value=0, max_value=2_000_000)),
         draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False)),
-        draw(st.booleans()),
         draw(st.integers(min_value=0, max_value=10**9)),
     )
 
 
 @given(inputs=_any_inputs(), deadline_us=st.integers(min_value=0, max_value=10**9))
-def test_step_moves_along_defined_edges_only(inputs: PmicInputs, deadline_us: int):
+def test_step_moves_along_defined_edges_only(inputs: tuple[int, int, float, int], deadline_us: int):
     allowed = {
         Mode.DEEP_SLEEP: {Mode.DEEP_SLEEP, Mode.WAKE_UP},
         Mode.WAKE_UP: {Mode.WAKE_UP, Mode.NORMAL},
@@ -215,5 +173,5 @@ def test_step_moves_along_defined_edges_only(inputs: PmicInputs, deadline_us: in
         Mode.SHUTDOWN: {Mode.SHUTDOWN, Mode.NORMAL, Mode.DEEP_SLEEP},
     }
     for mode in _modes_at(TimePoint(deadline_us)):
-        out = step_mode(mode, CFG, inputs)
+        out = step_mode(mode, CFG, *inputs)
         assert out.mode in allowed[mode.mode]

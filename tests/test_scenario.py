@@ -158,6 +158,21 @@ def test_parse_rejections(mangle, needle):
     assert needle in str(err.value)
 
 
+def test_pmic_quiescent_current_must_match_the_always_on_budget():
+    doc = (
+        MINIMAL.replace("  v_ovch_hysteresis: 50mV\n", "  v_ovch_hysteresis: 50mV\n  i_quiescent: 9999nA\n")
+        + "always_on:\n  i_pmic: 200nA\n"
+    )
+    lines = doc.splitlines()
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert f"pmic.i_quiescent (line {lines.index('  i_quiescent: 9999nA') + 1})" in str(err.value)
+    assert f"always_on.i_pmic (line {lines.index('  i_pmic: 200nA') + 1})" in str(err.value)
+    # Agreement parses; so does omitting the field, whatever i_pmic is.
+    assert parse_scenario(doc.replace("9999nA", "200nA")).always_on.i_pmic == Current(200)
+    assert parse_scenario(MINIMAL + "always_on:\n  i_pmic: 0nA\n").always_on.i_pmic == Current(0)
+
+
 def test_duplicate_yaml_keys_are_rejected():
     doc = MINIMAL + "sim:\n  duration: 5min\n"
     with pytest.raises(ScenarioError) as err:

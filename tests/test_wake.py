@@ -8,22 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpmsim.energy import AlwaysOnBudget
 from dpmsim.quantities import Current, Duration, TimePoint
-from dpmsim.wake import (
-    ClearCommand,
-    ClearVia,
-    LatchState,
-    RtcConfig,
-    TouchScript,
-    WakeSource,
-    mcu_clear,
-    on_rtc_alarm,
-    on_touch,
-)
-
-
-def _clear_cmd(us: int) -> ClearCommand:
-    return ClearCommand(ClearVia.I2C_COMMAND, TimePoint(us))
+from dpmsim.wake import LatchState, RtcConfig, TouchScript, WakeSource, on_rtc_alarm, on_touch
 
 
 def test_cleared_latch_has_no_source():
@@ -63,17 +50,10 @@ def test_latest_trigger_owns_the_source():
 
 def test_clear_resets_source():
     latch = on_touch(LatchState.cleared(), TimePoint(5))
-    latch = mcu_clear(latch, _clear_cmd(6))
+    latch = LatchState.cleared(TimePoint(6))
     assert not latch.set
     assert latch.wake_source is WakeSource.NONE
     assert latch.last_change == TimePoint(6)
-
-
-def test_both_clear_paths_behave_identically():
-    latch = on_touch(LatchState.cleared(), TimePoint(5))
-    via_i2c = mcu_clear(latch, ClearCommand(ClearVia.I2C_COMMAND, TimePoint(6)))
-    via_pin = mcu_clear(latch, ClearCommand(ClearVia.SW_DISABLE_SIGNAL, TimePoint(6)))
-    assert via_i2c == via_pin
 
 
 def test_time_must_not_regress():
@@ -98,10 +78,11 @@ def test_touch_script_must_be_strictly_increasing():
 def test_quiescent_current_validation():
     with pytest.raises(ValueError):
         RtcConfig(alarm_period=Duration(0)).validate()
+    # The RTC and touch drains live in the always-on budget only.
     with pytest.raises(ValueError):
-        RtcConfig(i_quiescent=Current(-1)).validate()
+        AlwaysOnBudget(i_rtc=Current(-1)).validate()
     with pytest.raises(ValueError):
-        TouchScript(i_quiescent=Current(-1)).validate()
+        AlwaysOnBudget(i_touch=Current(-1)).validate()
     RtcConfig().validate()
 
 
@@ -120,7 +101,7 @@ def test_random_event_replay_is_deterministic(seed: int):
             elif kind == 1:
                 latch, _ = on_rtc_alarm(latch, TimePoint(now), RtcConfig())
             else:
-                latch = mcu_clear(latch, _clear_cmd(now))
+                latch = LatchState.cleared(TimePoint(now))
             states.append((latch.set, latch.wake_source, latch.last_change.us))
         return states
 
@@ -144,12 +125,7 @@ def test_latch_invariants_under_any_event_stream(events):
         elif kind == 1:
             latch, _ = on_rtc_alarm(latch, TimePoint(now), RtcConfig())
         else:
-            latch = mcu_clear(latch, _clear_cmd(now))
+            latch = LatchState.cleared(TimePoint(now))
         # The source is recorded exactly when the latch is set.
         assert latch.set == (latch.wake_source is not WakeSource.NONE)
         assert latch.last_change.us <= now
-
-
-def test_clear_via_enum_values():
-    assert ClearVia.I2C_COMMAND.value == "i2c_command"
-    assert ClearVia.SW_DISABLE_SIGNAL.value == "sw_disable_signal"
