@@ -143,11 +143,21 @@ def test_step_mode_never_raises_on_grid():
 # -- the Stage2 rule -------------------------------------------------------
 
 
-def test_stage2_needs_a_charged_store_and_a_set_latch():
-    for mode in Mode:
+def test_rail_implication_chain():
+    for mode in _modes_at(TimePoint(10)):
         for latch in (False, True):
-            charged = mode in (Mode.NORMAL, Mode.OVERCHARGE)
-            assert stage2(mode, latch) == (charged and latch), (mode, latch)
+            charged = mode.mode in (Mode.NORMAL, Mode.OVERCHARGE)
+            assert stage2(mode.mode, latch) == (charged and latch), (mode.mode, latch)
+
+
+def test_operating_stage_mapping():
+    assert stage2(PmicMode.normal().mode, True)
+    assert stage2(PmicMode.overcharge().mode, True)
+    assert not stage2(PmicMode.normal().mode, False)
+    assert not stage2(PmicMode.overcharge().mode, False)
+    assert not stage2(PmicMode.wake_up().mode, True)
+    assert not stage2(PmicMode.shutdown(TimePoint(1)).mode, True)
+    assert not stage2(PmicMode.deep_sleep().mode, False)
 
 
 # -- randomized single-step properties ------------------------------------
