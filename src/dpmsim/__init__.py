@@ -1,128 +1,29 @@
 """Discrete-event simulator for staged, hardware-gated power management
 on photovoltaic energy-harvesting sensor nodes."""
 
-from .analysis import (
-    ComparisonError,
-    ComparisonReport,
-    SweepError,
-    SweepResult,
-    SweepTarget,
-    compare_dpm,
-    sweep_lux,
-)
-from .energy import (
-    AlwaysOnBudget,
-    HarvesterModel,
-    LoadStep,
-    Rail,
-    StorageElement,
-    always_on_power,
-    apply_net_power,
-    cycle_energy,
-    cycle_net_gain,
-    harvest_power,
-    ocv,
-    soc_at_voltage,
-)
-from .engine import (
-    Anomaly,
-    CycleRow,
-    Report,
-    SimulationError,
-    TraceRecord,
-    format_trace,
-    idle_power,
-    run,
-)
-from .oracle import Agreement, OracleError, OracleResult, compare_with_engine, run_oracle
-from .pmic import Mode, PmicConfig, PmicMode, stage2, step_mode
-from .quantities import (
-    Current,
-    Duration,
-    Energy,
-    Illuminance,
-    Power,
-    TimePoint,
-    Voltage,
-    energy_of,
-    power_of,
-)
+from .analysis import ComparisonError, SweepError, compare_dpm, sweep_lux
+from .engine import SimulationError, format_trace, run
+from .oracle import OracleError, compare_with_engine, run_oracle
+from .quantities import Illuminance
 from .report import emit_report
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    VariantKind,
-    canonical_dict,
-    emit_scenario,
-    parse_scenario,
-    validate_scenario,
-    with_constant_light,
-    with_initial_soc,
-)
-from .wake import LatchState, RtcConfig, TouchScript, WakeSource
+from .scenario import ScenarioError, parse_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlwaysOnBudget",
-    "Agreement",
-    "Anomaly",
     "ComparisonError",
-    "ComparisonReport",
-    "Current",
-    "CycleRow",
-    "Duration",
-    "Energy",
-    "HarvesterModel",
     "Illuminance",
-    "LatchState",
-    "LoadStep",
-    "Mode",
     "OracleError",
-    "OracleResult",
-    "PmicConfig",
-    "PmicMode",
-    "Power",
-    "Rail",
-    "Report",
-    "RtcConfig",
-    "Scenario",
     "ScenarioError",
     "SimulationError",
-    "StorageElement",
     "SweepError",
-    "SweepResult",
-    "SweepTarget",
-    "TimePoint",
-    "TouchScript",
-    "TraceRecord",
-    "VariantKind",
-    "Voltage",
-    "WakeSource",
-    "always_on_power",
-    "apply_net_power",
-    "canonical_dict",
     "compare_dpm",
     "compare_with_engine",
-    "cycle_energy",
-    "cycle_net_gain",
     "emit_report",
-    "emit_scenario",
-    "energy_of",
     "format_trace",
-    "harvest_power",
-    "idle_power",
-    "ocv",
     "parse_scenario",
-    "power_of",
     "run",
     "run_oracle",
-    "soc_at_voltage",
-    "stage2",
-    "step_mode",
     "sweep_lux",
-    "validate_scenario",
-    "with_constant_light",
-    "with_initial_soc",
     "__version__",
 ]

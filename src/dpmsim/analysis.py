@@ -8,12 +8,10 @@ energy neutral per wake cycle.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from .energy import always_on_power
-from .engine import Report, run
-from .quantities import Current, Duration, Energy, Illuminance, Power, power_of
+from .engine import Report, idle_power, run
+from .quantities import Current, Duration, Energy, Illuminance, Power
 from .scenario import Scenario, VariantKind, canonical_dict, with_constant_light
 
 
@@ -127,8 +125,8 @@ def compare_dpm(report_a: Report, report_b: Report) -> ComparisonReport:
 
     i_hw = hw.scenario.always_on.total_current
     i_sw = sw.scenario.dpm_variant.i_sleep
-    p_hw = always_on_power(hw.scenario.always_on)
-    p_sw = power_of(sw.scenario.always_on.rail_voltage, i_sw)
+    p_hw = idle_power(hw.scenario)
+    p_sw = idle_power(sw.scenario)
     idle_ratio = i_sw.na / i_hw.na
 
     e_hw = _mean_cycle_consumed(hw)
@@ -155,24 +153,19 @@ def compare_dpm(report_a: Report, report_b: Report) -> ComparisonReport:
     )
 
 
-class SweepTarget(enum.Enum):
-    NET_ZERO_PER_CYCLE = "net_zero_per_cycle"
-
-
 class SweepError(ValueError):
     """The sweep bracket does not straddle the target."""
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    target: SweepTarget
     breakeven: Illuminance
     bracket_lo: Illuminance
     bracket_hi: Illuminance
     probes: tuple[tuple[float, float], ...]
 
     def text(self) -> str:
-        lines = [f"sweep target: {self.target.value}"]
+        lines = ["sweep target: net_zero_per_cycle"]
         for lux, net in self.probes:
             lines.append(f"  {lux:10.4f} lux -> net {net / 1e6:+.6f} mJ/cycle")
         lines.append(
@@ -193,7 +186,6 @@ def sweep_lux(
     scenario: Scenario,
     lo: Illuminance,
     hi: Illuminance,
-    target: SweepTarget = SweepTarget.NET_ZERO_PER_CYCLE,
     resolution: float = 0.1,
 ) -> SweepResult:
     """Bisect [lo, hi] for the illuminance with zero net energy per cycle.
@@ -203,8 +195,6 @@ def sweep_lux(
     bracket must straddle zero, except that a bound already sitting at
     zero is returned as the answer directly.
     """
-    if target is not SweepTarget.NET_ZERO_PER_CYCLE:
-        raise SweepError(f"unsupported sweep target {target}")
     if not (0.0 <= lo.lux < hi.lux):
         raise SweepError("need 0 <= lo < hi")
     if resolution <= 0.0:
@@ -214,11 +204,11 @@ def sweep_lux(
     net_lo = _probe_net(scenario, lo.lux)
     probes.append((lo.lux, net_lo))
     if net_lo == 0.0:
-        return SweepResult(target, lo, lo, lo, tuple(probes))
+        return SweepResult(lo, lo, lo, tuple(probes))
     net_hi = _probe_net(scenario, hi.lux)
     probes.append((hi.lux, net_hi))
     if net_hi == 0.0:
-        return SweepResult(target, hi, hi, hi, tuple(probes))
+        return SweepResult(hi, hi, hi, tuple(probes))
     if not (net_lo < 0.0 < net_hi):
         raise SweepError(
             f"bracket does not straddle breakeven: net({lo.lux})={net_lo} nJ,"
@@ -231,11 +221,10 @@ def sweep_lux(
         net_mid = _probe_net(scenario, mid)
         probes.append((mid, net_mid))
         if net_mid == 0.0:
-            return SweepResult(target, Illuminance(mid), Illuminance(mid), Illuminance(mid),
-                               tuple(probes))
+            return SweepResult(Illuminance(mid), Illuminance(mid), Illuminance(mid), tuple(probes))
         if net_mid > 0.0:
             b = mid
         else:
             a = mid
     mid = (a + b) / 2.0
-    return SweepResult(target, Illuminance(mid), Illuminance(a), Illuminance(b), tuple(probes))
+    return SweepResult(Illuminance(mid), Illuminance(a), Illuminance(b), tuple(probes))

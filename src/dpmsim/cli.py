@@ -45,11 +45,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
     for w in scenario.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    try:
-        report = run(scenario)
-    except SimulationError as exc:
-        print(f"error: simulation failed: {exc}", file=sys.stderr)
-        return 2
+    report = run(scenario)
     _write_out(emit_report(report, args.format), args.out)
     if args.trace is not None:
         Path(args.trace).write_text(format_trace(report), encoding="utf-8")
@@ -66,9 +62,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except ComparisonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SimulationError as exc:
-        print(f"error: simulation failed: {exc}", file=sys.stderr)
-        return 2
     sys.stdout.write(result.text())
     return 0
 
@@ -87,9 +80,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SimulationError as exc:
-        print(f"error: simulation failed: {exc}", file=sys.stderr)
-        return 2
     sys.stdout.write(result.text())
     return 0
 
@@ -119,9 +109,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SimulationError as exc:
-        print(f"error: simulation failed: {exc}", file=sys.stderr)
-        return 2
     agr = compare_with_engine(report, result)
     print(f"timestep          {result.timestep_us} us ({result.ticks} ticks)")
     print(f"mode sequences    {'match' if agr.sequences_match else 'DIFFER'}")
@@ -176,7 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except SimulationError as exc:
+        print(f"error: simulation failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

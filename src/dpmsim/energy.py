@@ -10,7 +10,7 @@ what makes exact crossing prediction possible in the event engine.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .quantities import Current, Duration, Energy, Illuminance, Power, Voltage, energy_of, power_of
 
@@ -63,13 +63,6 @@ class StorageElement:
             if v1.uv < v0.uv:
                 raise ValueError(f"ocv_curve voltages must be non-decreasing ({v0.uv} -> {v1.uv})")
 
-    def with_energy(self, e: Energy) -> "StorageElement":
-        return replace(self, e_store=e)
-
-    @property
-    def soc(self) -> float:
-        return self.e_store.nj / self.e_capacity.nj
-
     @property
     def v_empty(self) -> Voltage:
         return self.ocv_curve[0][1]
@@ -86,7 +79,7 @@ class StorageElement:
 
 
 # The cores below work on plain numbers (soc, uV, nJ, nW, us) so the event
-# engine can call them per event; the typed functions further down wrap them.
+# engine can call them per event; ocv and soc_at_voltage wrap them.
 
 
 def _ocv_uv(segments: tuple[tuple[float, int, float, int], ...], soc: float) -> float:
@@ -97,6 +90,8 @@ def _ocv_uv(segments: tuple[tuple[float, int, float, int], ...], soc: float) -> 
 
 
 def _soc_at_uv(segments: tuple[tuple[float, int, float, int], ...], uv: float) -> float:
+    """Inverse of the OCV curve; ``uv`` may be fractional, so crossing
+    prediction can aim between grid steps. Saturates at soc 1 past the top."""
     # First matching segment wins; a flat segment maps to its left knee.
     for s0, v0, s1, v1 in segments:
         if uv <= v1:
@@ -117,7 +112,11 @@ def _store_uv(segments: tuple[tuple[float, int, float, int], ...], e_nj: float, 
 
 
 def _integrate(e_nj: float, capacity_nj: float, p_nw: float, dt_us: int) -> tuple[float, float, float]:
-    """(stored, clipped above capacity, clipped below empty) after dt_us at p_nw."""
+    """(stored, clipped above capacity, clipped below empty) after dt_us at p_nw.
+
+    The clipped energy is returned rather than lost, so the engine's
+    conservation ledger stays exact.
+    """
     e_new = e_nj + (p_nw * dt_us) / 1_000_000
     if e_new > capacity_nj:
         return capacity_nj, e_new - capacity_nj, 0.0
@@ -140,47 +139,6 @@ def soc_at_voltage(storage: StorageElement, v: Voltage) -> float:
             f"voltage {v.uv} uV outside OCV range [{storage.v_empty.uv}, {storage.v_full.uv}] uV"
         )
     return _soc_at_uv(storage.ocv_segments, v.uv)
-
-
-def energy_at_voltage(storage: StorageElement, uv: float) -> Energy:
-    """Stored energy at which the terminal voltage reaches ``uv``.
-
-    Accepts a fractional microvolt target so crossing prediction can aim
-    half a grid step past a threshold and land on the right side of the
-    integer-voltage comparison.
-    """
-    if not storage.v_empty.uv <= uv <= storage.v_full.uv:
-        raise ValueError(
-            f"voltage {uv} uV outside OCV range [{storage.v_empty.uv}, {storage.v_full.uv}] uV"
-        )
-    return Energy(_soc_at_uv(storage.ocv_segments, uv) * storage.e_capacity.nj)
-
-
-def storage_voltage(storage: StorageElement) -> Voltage:
-    """Terminal voltage for the current stored energy."""
-    return Voltage(round(_store_uv(storage.ocv_segments, storage.e_store.nj, storage.e_capacity.nj)))
-
-
-@dataclass(frozen=True)
-class ClampResult:
-    """Outcome of one integration interval against the storage limits."""
-
-    storage: StorageElement
-    clipped_high: Energy
-    clipped_low: Energy
-
-
-def apply_net_power(storage: StorageElement, p_net: Power, dt: Duration) -> ClampResult:
-    """Integrate a constant net power over dt, clamping at both ends.
-
-    Energy pushed past full capacity or drawn past empty is reported to
-    the caller rather than silently lost, so the engine can keep its
-    conservation ledger exact.
-    """
-    if dt.us < 0:
-        raise ValueError(f"apply_net_power requires a non-negative dt, got {dt.us} us")
-    e_new, clipped_high, clipped_low = _integrate(storage.e_store.nj, storage.e_capacity.nj, p_net.nw, dt.us)
-    return ClampResult(storage.with_energy(Energy(e_new)), Energy(clipped_high), Energy(clipped_low))
 
 
 @dataclass(frozen=True)
@@ -231,19 +189,13 @@ def harvest_voltage(model: HarvesterModel, lux: Illuminance) -> Voltage:
 
 @dataclass(frozen=True)
 class AlwaysOnBudget:
-    """Current budget of everything on the always-on rail.
-
-    fixed_cycle_energy, when set, replaces the computed always-on term
-    in cycle summaries with a pre-measured per-cycle figure; the event
-    engine itself always integrates from the currents.
-    """
+    """Current budget of everything on the always-on rail."""
 
     i_pmic: Current = Current(200)
     i_rtc: Current = Current(45)
     i_touch: Current = Current(65)
     i_extra_leakage: Current = Current(142)
     rail_voltage: Voltage = Voltage.from_volts(2.2)
-    fixed_cycle_energy: Energy | None = None
 
     @property
     def total_current(self) -> Current:
@@ -255,8 +207,6 @@ class AlwaysOnBudget:
                 raise ValueError(f"{name} must be non-negative")
         if self.rail_voltage.uv <= 0:
             raise ValueError("rail_voltage must be positive")
-        if self.fixed_cycle_energy is not None and self.fixed_cycle_energy.nj < 0:
-            raise ValueError("fixed_cycle_energy must be non-negative")
 
 
 def always_on_power(budget: AlwaysOnBudget) -> Power:
@@ -317,16 +267,14 @@ def cycle_energy(
     """Energy drawn over one wake burst plus the following sleep phase.
 
     The always-on rail drains for the whole cycle (sleep plus the burst
-    itself); that term is computed from the budget unless a pre-measured
-    per-cycle figure overrides it.
+    itself); that term is computed from the budget unless always_on_energy
+    supplies a pre-measured per-cycle figure.
     """
     if sleep.us < 0:
         raise ValueError("sleep duration cannot be negative")
     total = Energy(0.0)
     for step in script:
         total = total + step.energy
-    if always_on_energy is None:
-        always_on_energy = budget.fixed_cycle_energy
     if always_on_energy is None:
         always_on_energy = energy_of(always_on_power(budget), sleep + script_duration(script))
     return total + always_on_energy

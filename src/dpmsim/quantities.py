@@ -142,14 +142,6 @@ class Current:
     def __post_init__(self) -> None:
         _check_i64(self.na, "Current")
 
-    @classmethod
-    def from_microamps(cls, ua: int) -> "Current":
-        return cls(ua * 1_000)
-
-    @classmethod
-    def from_milliamps(cls, ma: int) -> "Current":
-        return cls(ma * 1_000_000)
-
     @property
     def microamps(self) -> float:
         return self.na / 1e3
@@ -169,10 +161,6 @@ class Power:
     @classmethod
     def from_microwatts(cls, uw: float) -> "Power":
         return cls(uw * 1e3)
-
-    @classmethod
-    def from_milliwatts(cls, mw: float) -> "Power":
-        return cls(mw * 1e6)
 
     @property
     def microwatts(self) -> float:
@@ -196,10 +184,6 @@ class Energy:
     nj: float
 
     @classmethod
-    def from_microjoules(cls, uj: float) -> "Energy":
-        return cls(uj * 1e3)
-
-    @classmethod
     def from_millijoules(cls, mj: float) -> "Energy":
         return cls(mj * 1e6)
 
@@ -210,10 +194,6 @@ class Energy:
     @property
     def millijoules(self) -> float:
         return self.nj / 1e6
-
-    @property
-    def joules(self) -> float:
-        return self.nj / 1e9
 
     def __add__(self, other: "Energy") -> "Energy":
         if not isinstance(other, Energy):

@@ -380,9 +380,6 @@ def parse_scenario(text: str) -> Scenario:
         rail_voltage=always_sec.scalar(
             "rail_voltage", lambda v: parse_voltage(_text(v)), AlwaysOnBudget.rail_voltage
         ),
-        fixed_cycle_energy=always_sec.scalar(
-            "fixed_cycle_energy", lambda v: parse_energy(_text(v)), None
-        ),
     )
     always_sec.reject_unknown()
     if i_quiescent is not None and i_quiescent != always_on.i_pmic:
@@ -581,15 +578,6 @@ def canonical_dict(s: Scenario) -> dict:
     variant: dict[str, Any] = {"kind": s.dpm_variant.kind.value}
     if s.dpm_variant.i_sleep is not None:
         variant["i_sleep"] = f"{s.dpm_variant.i_sleep.na}nA"
-    always_on: dict[str, Any] = {
-        "i_pmic": f"{s.always_on.i_pmic.na}nA",
-        "i_rtc": f"{s.always_on.i_rtc.na}nA",
-        "i_touch": f"{s.always_on.i_touch.na}nA",
-        "i_extra_leakage": f"{s.always_on.i_extra_leakage.na}nA",
-        "rail_voltage": f"{s.always_on.rail_voltage.uv}uV",
-    }
-    if s.always_on.fixed_cycle_energy is not None:
-        always_on["fixed_cycle_energy"] = f"{_fmt_float(s.always_on.fixed_cycle_energy.nj)}nJ"
     return {
         "schema_version": s.schema_version,
         "meta": {"name": s.name, "description": s.description},
@@ -608,7 +596,13 @@ def canonical_dict(s: Scenario) -> dict:
             "initial_soc": s.storage.initial_soc,
             "ocv_curve": [[soc, f"{v.uv}uV"] for soc, v in s.storage.ocv_curve],
         },
-        "always_on": always_on,
+        "always_on": {
+            "i_pmic": f"{s.always_on.i_pmic.na}nA",
+            "i_rtc": f"{s.always_on.i_rtc.na}nA",
+            "i_touch": f"{s.always_on.i_touch.na}nA",
+            "i_extra_leakage": f"{s.always_on.i_extra_leakage.na}nA",
+            "rail_voltage": f"{s.always_on.rail_voltage.uv}uV",
+        },
         "rtc": {
             "alarm_period": f"{s.rtc.alarm_period.us}us",
             "first_alarm": f"{s.rtc.first_alarm.us}us",

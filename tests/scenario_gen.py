@@ -29,8 +29,8 @@ from dpmsim.energy import (
     LoadStep,
     Rail,
     StorageElement,
+    _soc_at_uv,
     always_on_power,
-    energy_at_voltage,
     harvest_power,
 )
 from dpmsim.pmic import PmicConfig
@@ -181,8 +181,8 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
     # Anchor the state of charge for the class, then rebuild the store.
     probe = StorageElement.create(capacity_mah, Voltage.from_volts(3.7), curve, 0.5)
     cap = probe.e_capacity.nj
-    e_chrdy = energy_at_voltage(probe, float(v_chrdy.uv)).nj
-    e_ovch = energy_at_voltage(probe, float(v_ovch.uv)).nj
+    e_chrdy = _soc_at_uv(probe.ocv_segments, v_chrdy.uv) * cap
+    e_ovch = _soc_at_uv(probe.ocv_segments, v_ovch.uv) * cap
     if klass == "steady":
         worst_down = (
             idle_nw * duration.us / 1e6

@@ -133,7 +133,7 @@ def test_c06_mode_machine_grid_sweep(case_study):
                             should = v_uv < cfg.v_chrdy.uv and now_us >= deadline.us
                             if expired != should:
                                 violations.append(f"grace expiry {v_uv} {now_us} -> {new.mode}")
-                        if stage2(new.mode, latch) and not (
+                        if stage2(new.mode, latch) != (
                             latch and new.mode in (Mode.NORMAL, Mode.OVERCHARGE)
                         ):
                             violations.append(f"rail chain {new.mode} latch={latch}")

@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 import dpmsim.analysis as analysis
-from dpmsim.analysis import ComparisonError, SweepError, SweepTarget, compare_dpm, sweep_lux
+from dpmsim.analysis import ComparisonError, SweepError, compare_dpm, sweep_lux
 from dpmsim.engine import run
 from dpmsim.quantities import Current, Illuminance
 from dpmsim.scenario import DpmVariant, VariantKind, with_initial_soc
@@ -80,7 +80,6 @@ class TestCompareDpm:
 class TestSweepLux:
     def test_case_study_breakeven(self, case_study):
         res = sweep_lux(case_study, Illuminance(1.0), Illuminance(200.0))
-        assert res.target is SweepTarget.NET_ZERO_PER_CYCLE
         assert res.breakeven.lux == 16.498291015625
         assert res.bracket_lo.lux == 16.44970703125
         assert res.bracket_hi.lux == 16.546875

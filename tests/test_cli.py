@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import dpmsim
+import dpmsim.analysis
+import dpmsim.cli
 from dpmsim.cli import main
-from dpmsim.engine import format_trace, run
+from dpmsim.engine import SimulationError, format_trace, run
 from dpmsim.report import report_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -123,6 +125,38 @@ def test_oracle_rejects_misaligned_timestep(capsys):
     # 7 us does not divide the scenario's event times.
     assert main(["oracle", CASE_STUDY, "--timestep", "7us"]) == 1
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", CASE_STUDY],
+        ["compare", CASE_STUDY, CASE_STUDY_SW],
+        ["sweep", CASE_STUDY, "--lo", "1", "--hi", "200"],
+        ["oracle", CASE_STUDY],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_broken_engine_contract_exits_2(argv, monkeypatch, capsys):
+    def broken_run(scenario):
+        raise SimulationError("ledger does not balance")
+
+    # sweep reaches the engine through analysis.run, the others through cli.run.
+    monkeypatch.setattr(dpmsim.cli, "run", broken_run)
+    monkeypatch.setattr(dpmsim.analysis, "run", broken_run)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: simulation failed: ledger does not balance\n"
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from dpmsim import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(dpmsim.__all__)
+    for name in dpmsim.__all__:
+        assert namespace[name] is getattr(dpmsim, name)
 
 
 def test_argparse_rejects_unknown_command():

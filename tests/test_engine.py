@@ -11,6 +11,7 @@ import pytest
 from dpmsim.engine import (
     CrossKind,
     SimulationError,
+    _advance_to,
     _check_invariants,
     _set_lux,
     _State,
@@ -95,6 +96,16 @@ def test_crossing_target_outside_curve_is_rejected():
     st.mode = PmicMode.normal()
     with pytest.raises(ValueError):
         find_threshold_crossing(st, CrossKind.CHRDY_UP, 2_000_000)
+
+
+def test_advance_to_rejects_time_running_backwards():
+    st = _state()
+    st.now = 1_000
+    e_before = st.e_store_nj
+    with pytest.raises(SimulationError, match=r"time must not run backwards \(1000 -> 999\)"):
+        _advance_to(st, 999)
+    assert (st.now, st.e_store_nj) == (1_000, e_before)
+    _advance_to(st, 1_000)  # a zero interval is fine
 
 
 # -- frozen case-study run --------------------------------------------------

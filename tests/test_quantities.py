@@ -56,8 +56,6 @@ def test_timepoint_arithmetic():
 def test_voltage_current_conversions():
     assert Voltage.from_volts(3.3).uv == 3_300_000
     assert Voltage.from_millivolts(50).uv == 50_000
-    assert Current.from_microamps(3).na == 3_000
-    assert Current.from_milliamps(10).na == 10_000_000
     assert Current(452).microamps == 0.452
 
 

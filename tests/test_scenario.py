@@ -150,6 +150,11 @@ sim:
             "at least one",
         ),
         (lambda d: d + "pmic2: {}\n", "unknown field"),
+        # No run, comparison or sweep read it, so a file that sets it is refused.
+        (
+            lambda d: d + "always_on:\n  fixed_cycle_energy: 0.6mJ\n",
+            "always_on.fixed_cycle_energy (line 13): unknown field",
+        ),
     ],
 )
 def test_parse_rejections(mangle, needle):
