@@ -315,10 +315,11 @@ def find_threshold_crossing(state: _State, cross: CrossKind, target_uv: int) -> 
     """Earliest microsecond at which the crossing guard becomes true.
 
     Returns None when the net power points away from the target. The
-    result aims at most half a microvolt past the threshold so the
-    integer-grid comparison at dispatch lands on the right side; the
-    dispatched event therefore always sees v_store within 1 uV of its
-    target.
+    guards compare round(v) on the 1 uV grid, so each one switches on
+    half a microvolt from its threshold: ``round(v) >= T`` from T - 0.5,
+    ``round(v) < T`` below T - 0.5 and ``round(v) <= T`` below T + 0.5.
+    The solve aims at that onset and walks forward over float dust, so
+    the dispatched event sees v_store within 1 uV of its target.
     """
     if cross is not _DEPLETED and not state.v_empty_uv <= target_uv <= state.v_full_uv:
         raise ValueError(
@@ -342,12 +343,11 @@ def find_threshold_crossing(state: _State, cross: CrossKind, target_uv: int) -> 
         if not rising and p_nw >= 0.0:
             return None
         if cross is _CHRDY_DOWN:
-            # The guard is a strict comparison on the 1 uV grid.
             v_aim = target_uv - 0.5 - 1e-6
         elif cross is _OVCH_DOWN:
-            v_aim = target_uv - 1e-6
+            v_aim = target_uv + 0.5 - 1e-6
         else:
-            v_aim = float(target_uv)
+            v_aim = target_uv - 0.5
         v_aim = min(float(state.v_full_uv), max(float(state.v_empty_uv), v_aim))
         e_aim = _soc_at_uv(state.ocv_segments, v_aim) * state.e_capacity_nj
 
