@@ -38,7 +38,7 @@ from .energy import (
 from .pmic import Mode, PmicMode, stage2, step_mode
 from .quantities import Duration, Energy, Illuminance, Power, TimePoint, Voltage
 from .scenario import Scenario, VariantKind
-from .wake import LatchState, WakeSource, on_rtc_alarm, on_touch
+from .wake import LatchState, on_rtc_alarm, on_touch
 
 ALWAYS_ON_COMPONENT = "always_on"
 
@@ -76,7 +76,6 @@ class CrossKind(enum.Enum):
 # compare against these module-level names instead.
 _CHRDY_UP, _CHRDY_DOWN, _OVCH_UP, _OVCH_DOWN, _COLD_START, _DEPLETED = CrossKind
 _DEEP_SLEEP, _WAKE_UP, _NORMAL, _OVERCHARGE, _SHUTDOWN = Mode
-_NO_SOURCE = WakeSource.NONE
 
 
 @dataclass(frozen=True)
@@ -469,16 +468,13 @@ def _set_lux(state: _State, lux: Illuminance) -> None:
 
 
 def _check_invariants(state: _State) -> None:
-    latch = state.latch
     # Steps start and stop on Stage2 edges; one left running means an
     # edge was missed.
-    if state.active_step is not None and not stage2(state.mode.mode, latch.set):
+    if state.active_step is not None and not stage2(state.mode.mode, state.latch.set):
         raise SimulationError(f"load step {state.active_step.name!r} running without Stage2 power")
     e = state.e_store_nj
     if not 0.0 <= e <= state.e_capacity_nj:
         raise SimulationError(f"stored energy {e} nJ outside [0, capacity]")
-    if not latch.set and latch.wake_source is not _NO_SOURCE:
-        raise SimulationError("cleared latch carries a wake source")
 
 
 def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
