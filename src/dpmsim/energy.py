@@ -9,7 +9,6 @@ what makes exact crossing prediction possible in the event engine.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .quantities import Current, Duration, Energy, Illuminance, Power, Voltage, energy_of, power_of
@@ -79,7 +78,7 @@ class StorageElement:
 
 
 # The cores below work on plain numbers (soc, uV, nJ, nW, us) so the event
-# engine can call them per event; ocv and soc_at_voltage wrap them.
+# engine can call them per event; soc_at_voltage wraps them.
 
 
 def _ocv_uv(segments: tuple[tuple[float, int, float, int], ...], soc: float) -> float:
@@ -123,13 +122,6 @@ def _integrate(e_nj: float, capacity_nj: float, p_nw: float, dt_us: int) -> tupl
     if e_new < 0.0:
         return 0.0, 0.0, -e_new
     return e_new, 0.0, 0.0
-
-
-def ocv(storage: StorageElement, soc: float) -> Voltage:
-    """Open-circuit voltage at a state of charge, on the 1 uV grid."""
-    if not 0.0 <= soc <= 1.0:
-        raise ValueError(f"soc must lie in [0, 1], got {soc}")
-    return Voltage(round(_ocv_uv(storage.ocv_segments, soc)))
 
 
 def soc_at_voltage(storage: StorageElement, v: Voltage) -> float:
@@ -213,11 +205,6 @@ def always_on_power(budget: AlwaysOnBudget) -> Power:
     return power_of(budget.rail_voltage, budget.total_current)
 
 
-class Rail(enum.Enum):
-    LV = "lv"
-    HV = "hv"
-
-
 @dataclass(frozen=True)
 class LoadStep:
     """One scripted wake activity drawing a fixed energy over a fixed time."""
@@ -225,7 +212,6 @@ class LoadStep:
     name: str
     duration: Duration
     energy: Energy
-    rail: Rail = Rail.LV
 
     @property
     def power(self) -> Power:
@@ -278,15 +264,3 @@ def cycle_energy(
     if always_on_energy is None:
         always_on_energy = energy_of(always_on_power(budget), sleep + script_duration(script))
     return total + always_on_energy
-
-
-def cycle_net_gain(
-    harvest: Power,
-    script: tuple[LoadStep, ...],
-    budget: AlwaysOnBudget,
-    sleep: Duration,
-    always_on_energy: Energy | None = None,
-) -> Energy:
-    """Harvested minus consumed energy over one full cycle."""
-    cycle = sleep + script_duration(script)
-    return energy_of(harvest, cycle) - cycle_energy(script, budget, sleep, always_on_energy)

@@ -115,14 +115,6 @@ def step_mode(
     return fired[0][1]
 
 
-def fired_transitions(
-    current: PmicMode, cfg: PmicConfig, v_store_uv: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int
-) -> list[str]:
-    """Names of all transition guards satisfied right now (normally <= 1); same arguments as step_mode."""
-    fired = _fired(current, cfg, v_store_uv, v_harvester_uv, p_harvester_nw, now_us)
-    return [name for name, _ in fired]
-
-
 def _fired(
     current: PmicMode, cfg: PmicConfig, v: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int
 ) -> tuple[tuple[str, PmicMode], ...]:

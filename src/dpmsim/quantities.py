@@ -37,16 +37,8 @@ class Duration:
         return cls(ms * 1_000)
 
     @classmethod
-    def from_seconds(cls, s: int) -> "Duration":
-        return cls(s * 1_000_000)
-
-    @classmethod
     def from_minutes(cls, m: int) -> "Duration":
         return cls(m * 60_000_000)
-
-    @property
-    def seconds(self) -> float:
-        return self.us / 1e6
 
     def __add__(self, other: "Duration") -> "Duration":
         if not isinstance(other, Duration):
@@ -57,16 +49,6 @@ class Duration:
         if not isinstance(other, Duration):
             return NotImplemented
         return Duration(self.us - other.us)
-
-    def __mul__(self, k: int) -> "Duration":
-        if not isinstance(k, int):
-            return NotImplemented
-        return Duration(self.us * k)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Duration":
-        return Duration(-self.us)
 
 
 @dataclass(frozen=True, order=True)
@@ -84,21 +66,10 @@ class TimePoint:
     def zero(cls) -> "TimePoint":
         return cls(0)
 
-    @property
-    def seconds(self) -> float:
-        return self.us / 1e6
-
     def __add__(self, other: Duration) -> "TimePoint":
         if not isinstance(other, Duration):
             return NotImplemented
         return TimePoint(self.us + other.us)
-
-    def __sub__(self, other):
-        if isinstance(other, TimePoint):
-            return Duration(self.us - other.us)
-        if isinstance(other, Duration):
-            return TimePoint(self.us - other.us)
-        return NotImplemented
 
 
 @dataclass(frozen=True, order=True)
@@ -121,11 +92,6 @@ class Voltage:
     @property
     def volts(self) -> float:
         return self.uv / 1e6
-
-    def __add__(self, other: "Voltage") -> "Voltage":
-        if not isinstance(other, Voltage):
-            return NotImplemented
-        return Voltage(self.uv + other.uv)
 
     def __sub__(self, other: "Voltage") -> "Voltage":
         if not isinstance(other, Voltage):
@@ -166,26 +132,12 @@ class Power:
     def microwatts(self) -> float:
         return self.nw / 1e3
 
-    def __add__(self, other: "Power") -> "Power":
-        if not isinstance(other, Power):
-            return NotImplemented
-        return Power(self.nw + other.nw)
-
-    def __sub__(self, other: "Power") -> "Power":
-        if not isinstance(other, Power):
-            return NotImplemented
-        return Power(self.nw - other.nw)
-
 
 @dataclass(frozen=True, order=True)
 class Energy:
     """Energy in nanojoules."""
 
     nj: float
-
-    @classmethod
-    def from_millijoules(cls, mj: float) -> "Energy":
-        return cls(mj * 1e6)
 
     @classmethod
     def from_joules(cls, j: float) -> "Energy":
@@ -199,11 +151,6 @@ class Energy:
         if not isinstance(other, Energy):
             return NotImplemented
         return Energy(self.nj + other.nj)
-
-    def __sub__(self, other: "Energy") -> "Energy":
-        if not isinstance(other, Energy):
-            return NotImplemented
-        return Energy(self.nj - other.nj)
 
 
 @dataclass(frozen=True, order=True)

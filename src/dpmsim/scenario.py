@@ -22,7 +22,7 @@ from typing import Any
 
 import yaml
 
-from .energy import AlwaysOnBudget, HarvesterModel, LoadStep, Rail, StorageElement, ocv, validate_script
+from .energy import AlwaysOnBudget, HarvesterModel, LoadStep, StorageElement, validate_script
 from .pmic import PmicConfig
 from .quantities import Current, Duration, Energy, Illuminance, Power, TimePoint, Voltage
 from .wake import RtcConfig, TouchScript
@@ -475,15 +475,11 @@ def parse_scenario(text: str) -> Scenario:
             if not isinstance(entry.value, dict):
                 raise ScenarioError(f"load_script[{i}] (line {entry.line}): expected a mapping")
             step_sec = _Section(entry, f"load_script[{i}]")
-            rail_name = step_sec.scalar("rail", _string, "lv")
-            if rail_name not in ("lv", "hv"):
-                raise ScenarioError(f"{step_sec.where('rail')}: rail must be 'lv' or 'hv'")
             steps.append(
                 LoadStep(
                     name=step_sec.scalar("name", _string, _REQUIRED),
                     duration=step_sec.scalar("duration", lambda v: parse_duration(_text(v)), _REQUIRED),
                     energy=step_sec.scalar("energy", lambda v: parse_energy(_text(v)), _REQUIRED),
-                    rail=Rail(rail_name),
                 )
             )
             step_sec.reject_unknown()
@@ -544,8 +540,8 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError(str(exc)) from exc
     if s.duration.us <= 0:
         raise ScenarioError("sim.duration must be positive")
-    v_empty = ocv(s.storage, 0.0)
-    v_full = ocv(s.storage, 1.0)
+    v_empty = s.storage.v_empty
+    v_full = s.storage.v_full
     if not v_empty < s.pmic.v_chrdy:
         raise ScenarioError(
             f"pmic.v_chrdy ({s.pmic.v_chrdy.uv} uV) must sit above the empty-store voltage ({v_empty.uv} uV)"
@@ -621,7 +617,6 @@ def canonical_dict(s: Scenario) -> dict:
                 "name": step.name,
                 "duration": f"{step.duration.us}us",
                 "energy": f"{_fmt_float(step.energy.nj)}nJ",
-                "rail": step.rail.value,
             }
             for step in s.load_script
         ],
@@ -637,9 +632,3 @@ def emit_scenario(s: Scenario) -> str:
 def with_constant_light(s: Scenario, lux: float) -> Scenario:
     """The same scenario under a constant illuminance."""
     return replace(s, light_timeline=((TimePoint.zero(), Illuminance(float(lux))),))
-
-
-def with_initial_soc(s: Scenario, soc: float) -> Scenario:
-    return replace(s, storage=StorageElement.create(
-        s.storage.capacity_mah, s.storage.nominal_voltage, s.storage.ocv_curve, soc
-    ))

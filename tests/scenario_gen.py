@@ -22,12 +22,12 @@ meaningful.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from dpmsim.energy import (
     AlwaysOnBudget,
     HarvesterModel,
     LoadStep,
-    Rail,
     StorageElement,
     _soc_at_uv,
     always_on_power,
@@ -65,9 +65,11 @@ def _script(rng: random.Random) -> tuple[LoadStep, ...]:
                 name=f"{_STEP_NAMES[i]}_{i}",
                 duration=dur,
                 energy=Energy(round(power_nw * dur.us / 1e6, 6)),
-                rail=rng.choice((Rail.LV, Rail.HV)),
             )
         )
+        # Steps once drew a supply rail here; the draw stays so that
+        # every seed keeps its scenario.
+        rng.choice(("lv", "hv"))
     return tuple(steps)
 
 
@@ -229,3 +231,10 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
     )
     validate_scenario(scenario)
     return scenario
+
+
+def with_initial_soc(s: Scenario, soc: float) -> Scenario:
+    """The same scenario with its store starting at another state of charge."""
+    return replace(s, storage=StorageElement.create(
+        s.storage.capacity_mah, s.storage.nominal_voltage, s.storage.ocv_curve, soc
+    ))

@@ -10,7 +10,8 @@ import dpmsim.analysis as analysis
 from dpmsim.analysis import ComparisonError, SweepError, compare_dpm, sweep_lux
 from dpmsim.engine import run
 from dpmsim.quantities import Current, Illuminance
-from dpmsim.scenario import DpmVariant, VariantKind, with_initial_soc
+from dpmsim.scenario import DpmVariant, VariantKind
+from scenario_gen import with_initial_soc
 
 
 @pytest.fixture(scope="module")

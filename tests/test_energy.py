@@ -16,21 +16,20 @@ from dpmsim.energy import (
     AlwaysOnBudget,
     HarvesterModel,
     LoadStep,
-    Rail,
     StorageElement,
     _integrate,
+    _ocv_uv,
     _soc_at_uv,
     _store_uv,
     always_on_power,
     cycle_energy,
-    cycle_net_gain,
     harvest_power,
     harvest_voltage,
-    ocv,
     soc_at_voltage,
     script_duration,
     validate_script,
 )
+from dpmsim.engine import run
 from dpmsim.quantities import (
     Current,
     Duration,
@@ -40,6 +39,7 @@ from dpmsim.quantities import (
     Voltage,
     energy_of,
 )
+from dpmsim.scenario import with_constant_light
 
 CURVE = (
     (0.0, Voltage.from_volts(3.0)),
@@ -81,15 +81,14 @@ def test_storage_validation_errors():
 
 def test_ocv_at_curve_knots_and_between():
     store = _store()
-    assert ocv(store, 0.0) == Voltage.from_volts(3.0)
-    assert ocv(store, 0.1) == Voltage.from_volts(3.6)
-    assert ocv(store, 1.0) == Voltage.from_volts(4.2)
+    segments = store.ocv_segments
+    # The curve's ends read as the end knots, which validation uses as
+    # the empty and full voltages.
+    assert round(_ocv_uv(segments, 0.0)) == store.v_empty.uv == 3_000_000
+    assert round(_ocv_uv(segments, 0.1)) == 3_600_000
+    assert round(_ocv_uv(segments, 1.0)) == store.v_full.uv == 4_200_000
     # Midpoint of the upper segment rounds onto the 1 uV grid.
-    assert ocv(store, 0.5) == Voltage(3_866_667)
-    with pytest.raises(ValueError):
-        ocv(store, 1.1)
-    with pytest.raises(ValueError):
-        ocv(store, -0.1)
+    assert round(_ocv_uv(segments, 0.5)) == 3_866_667
 
 
 def test_soc_at_voltage_inverts_the_curve():
@@ -105,7 +104,7 @@ def test_soc_at_voltage_inverts_the_curve():
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_ocv_round_trip(soc: float):
     store = _store()
-    back = soc_at_voltage(store, ocv(store, soc))
+    back = soc_at_voltage(store, Voltage(round(_ocv_uv(store.ocv_segments, soc))))
     # The 1 uV reading grid costs at most half a microvolt of soc.
     assert back == pytest.approx(soc, abs=2e-6)
 
@@ -137,7 +136,7 @@ def test_storage_voltage_clamps_out_of_range_energy():
 def test_apply_net_power_plain_interval():
     store = _store()
     e, clipped_high, clipped_low = _integrate(
-        store.e_store.nj, store.e_capacity.nj, Power.from_microwatts(10.0).nw, Duration.from_seconds(2).us
+        store.e_store.nj, store.e_capacity.nj, Power.from_microwatts(10.0).nw, Duration(2_000_000).us
     )
     assert clipped_high == 0.0
     assert clipped_low == 0.0
@@ -147,7 +146,7 @@ def test_apply_net_power_plain_interval():
 def test_apply_net_power_clamps_at_full():
     store = _store(0.999999)
     e, clipped_high, clipped_low = _integrate(
-        store.e_store.nj, store.e_capacity.nj, 1e8, Duration.from_seconds(10).us  # 100 mW
+        store.e_store.nj, store.e_capacity.nj, 1e8, Duration(10_000_000).us  # 100 mW
     )
     assert e == store.e_capacity.nj
     pushed = store.e_store.nj + 1e9 - store.e_capacity.nj
@@ -157,7 +156,7 @@ def test_apply_net_power_clamps_at_full():
 
 def test_apply_net_power_clamps_at_empty():
     store = _store(0.0)
-    e, clipped_high, clipped_low = _integrate(100.0, store.e_capacity.nj, -1000.0, Duration.from_seconds(1).us)
+    e, clipped_high, clipped_low = _integrate(100.0, store.e_capacity.nj, -1000.0, Duration(1_000_000).us)
     assert e == 0.0
     assert clipped_low == pytest.approx(900.0, rel=1e-12)
     assert clipped_high == 0.0
@@ -250,7 +249,7 @@ def test_always_on_budget_totals():
 
 
 def test_load_step_power():
-    step = LoadStep("sample", Duration.from_millis(1500), Energy.from_millijoules(1.1), Rail.HV)
+    step = LoadStep("sample", Duration.from_millis(1500), Energy(1_100_000.0))
     assert step.power.nw == pytest.approx(1_100_000 / 1.5, rel=1e-12)
     assert LoadStep("noop", Duration(0), Energy(0.0)).power == Power(0.0)
 
@@ -274,28 +273,24 @@ def test_script_rejects_duplicate_names():
 def test_cycle_energy_matches_case_study(case_study):
     s = case_study
     assert script_duration(s.load_script) == Duration.from_millis(3535)
-    e = cycle_energy(s.load_script, s.always_on, Duration.from_seconds(600))
+    e = cycle_energy(s.load_script, s.always_on, Duration.from_minutes(10))
     assert e.nj == pytest.approx(2_146_355.204, abs=1e-6)
 
 
 def test_cycle_energy_with_measured_always_on_term(case_study):
     s = case_study
     e = cycle_energy(
-        s.load_script, s.always_on, Duration.from_seconds(600), Energy.from_millijoules(0.6)
+        s.load_script, s.always_on, Duration.from_minutes(10), Energy(600_000.0)
     )
     assert e.nj == pytest.approx(2_146_200.0, abs=1e-9)
-    e2 = cycle_energy(s.load_script, s.always_on, Duration.from_seconds(600), Energy(0.0))
+    e2 = cycle_energy(s.load_script, s.always_on, Duration.from_minutes(10), Energy(0.0))
     assert e2.nj == pytest.approx(1_546_200.0, abs=1e-9)
 
 
 def test_cycle_net_gain_matches_case_study(case_study):
-    s = case_study
-    gain = cycle_net_gain(
-        harvest_power(s.harvester, Illuminance(200.0)),
-        s.load_script,
-        s.always_on,
-        Duration.from_seconds(600),
-    )
+    # One 600 s cycle at 200 lux: the burst's 3.535 s plus the rest of
+    # the period, harvested minus consumed.
+    gain = run(with_constant_light(case_study, 200.0)).net_gain
     assert gain.nj == pytest.approx(23_893_644.796, abs=0.5)
 
 

@@ -26,8 +26,9 @@ from dpmsim.engine import (
 from dpmsim.energy import _soc_at_uv
 from dpmsim.pmic import PmicMode
 from dpmsim.quantities import Duration, Energy, Illuminance, TimePoint
-from dpmsim.scenario import parse_scenario, with_constant_light, with_initial_soc
+from dpmsim.scenario import parse_scenario, with_constant_light
 from dpmsim.wake import LatchState, on_touch
+from scenario_gen import with_initial_soc
 
 ZERO_IDLE = """
 schema_version: 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpmsim.pmic import Mode, PmicConfig, PmicMode, fired_transitions, stage2, step_mode
+from dpmsim.pmic import Mode, PmicConfig, PmicMode, stage2, step_mode
 from dpmsim.quantities import Duration, TimePoint, Voltage
 
 CFG = PmicConfig()  # documented defaults: 3.0 V / 3.6 V / 50 mV / 600 ms
@@ -117,7 +117,8 @@ def test_guard_exclusivity_on_1mv_grid():
 
     The sweep covers [0, v_ovch + 100 mV] in 1 mV steps, every harvester
     state, and clock instants on both sides of the grace deadline. The
-    latch is not an input of the mode machine.
+    latch is not an input of the mode machine. step_mode raises exactly
+    when more than one guard fires, so each raise is a violation.
     """
     deadline = TimePoint(500_000)
     violations = []
@@ -126,18 +127,11 @@ def test_guard_exclusivity_on_1mv_grid():
             for now_us in (0, 500_000, 500_001):
                 inputs = _inp(uv, v_harv, p_harv, now_us)
                 for mode in _modes_at(deadline):
-                    fired = fired_transitions(mode, CFG, *inputs)
-                    if len(fired) > 1:
-                        violations.append((mode.mode, uv, fired))
+                    try:
+                        step_mode(mode, CFG, *inputs)
+                    except RuntimeError as exc:
+                        violations.append((mode.mode, uv, str(exc)))
     assert violations == []
-
-
-def test_step_mode_never_raises_on_grid():
-    deadline = TimePoint(500_000)
-    for uv in range(0, CFG.v_ovch.uv + 100_000 + 1, 1_000):
-        inputs = _inp(uv, 1_200_000, 50_000.0, 500_000)
-        for mode in _modes_at(deadline):
-            step_mode(mode, CFG, *inputs)
 
 
 # -- the Stage2 rule -------------------------------------------------------

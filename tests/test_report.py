@@ -18,7 +18,8 @@ from dpmsim.report import (
     emit_text,
     report_dict,
 )
-from dpmsim.scenario import with_constant_light, with_initial_soc
+from dpmsim.scenario import with_constant_light
+from scenario_gen import with_initial_soc
 
 
 @pytest.fixture(scope="module")

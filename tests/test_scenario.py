@@ -15,9 +15,8 @@ from dpmsim.scenario import (
     parse_scenario,
     parse_voltage,
     with_constant_light,
-    with_initial_soc,
 )
-from scenario_gen import random_scenario
+from scenario_gen import random_scenario, with_initial_soc
 
 MINIMAL = """
 schema_version: 1
@@ -51,7 +50,6 @@ def test_parse_bundled_case_study(case_study):
         "mcu_process",
         "radio_advertise",
     ]
-    assert [step.rail.value for step in s.load_script] == ["hv", "lv", "hv"]
     assert s.dpm_variant.kind is VariantKind.HARDWARE_GATED
     assert s.dpm_variant.i_sleep is None
     assert s.duration == Duration.from_millis(603_535)
@@ -135,9 +133,10 @@ sim:
             + "  - {name: a, duration: 1s, energy: 1mJ}\n",
             "duplicate load step name",
         ),
+        # Nothing computes with a step's supply rail, so a file that names one is refused.
         (
-            lambda d: d + "load_script:\n  - {name: a, duration: 1s, energy: 1mJ, rail: xhv}\n",
-            "rail must be",
+            lambda d: d + "load_script:\n  - {name: a, duration: 1s, energy: 1mJ, rail: hv}\n",
+            "load_script[0].rail (line 13): unknown field",
         ),
         (lambda d: d + "dpm_variant:\n  kind: software_sleep\n", "requires i_sleep"),
         (
@@ -196,7 +195,7 @@ def test_empty_and_malformed_documents():
 
 def test_quantity_parsers():
     assert parse_duration("10min") == Duration.from_minutes(10)
-    assert parse_duration("1h") == Duration.from_seconds(3600)
+    assert parse_duration("1h") == Duration(3_600_000_000)
     assert parse_voltage("3.3V") == Voltage(3_300_000)
     assert parse_voltage("50mV") == Voltage(50_000)
     assert parse_illuminance(200) == Illuminance(200.0)
@@ -247,7 +246,6 @@ def test_canonical_dict_shape(case_study):
         "name": "sensor_sample",
         "duration": "1500000us",
         "energy": "1100000.0nJ",
-        "rail": "hv",
     }
 
 
