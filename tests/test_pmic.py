@@ -134,6 +134,14 @@ def test_guard_exclusivity_on_1mv_grid():
     assert violations == []
 
 
+def test_step_mode_never_raises_on_grid():
+    deadline = TimePoint(500_000)
+    for uv in range(0, CFG.v_ovch.uv + 100_000 + 1, 1_000):
+        inputs = _inp(uv, 1_200_000, 50_000.0, 500_000)
+        for mode in _modes_at(deadline):
+            step_mode(mode, CFG, *inputs)
+
+
 # -- the Stage2 rule -------------------------------------------------------
 
 

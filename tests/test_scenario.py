@@ -133,10 +133,12 @@ sim:
             + "  - {name: a, duration: 1s, energy: 1mJ}\n",
             "duplicate load step name",
         ),
-        # Nothing computes with a step's supply rail, so a file that names one is refused.
-        (
+        # Nothing computes with a step's supply rail, so a file that names one is
+        # refused. The id is the one this case had while rail was an lv/hv field.
+        pytest.param(
             lambda d: d + "load_script:\n  - {name: a, duration: 1s, energy: 1mJ, rail: hv}\n",
             "load_script[0].rail (line 13): unknown field",
+            id="<lambda>-rail must be",
         ),
         (lambda d: d + "dpm_variant:\n  kind: software_sleep\n", "requires i_sleep"),
         (
