@@ -8,48 +8,27 @@ energy neutral per wake cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .engine import Report, idle_power, run
 from .quantities import Current, Duration, Energy, Illuminance, Power
-from .scenario import Scenario, VariantKind, canonical_dict, with_constant_light
+from .scenario import Scenario, VariantKind, with_constant_light
 
 
 class ComparisonError(ValueError):
     """The two runs are not a like-for-like variant pair."""
 
 
-def _diff_paths(a, b, path: str, out: list[str]) -> None:
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            sub = f"{path}.{key}" if path else key
-            if key not in a or key not in b:
-                out.append(sub)
-            else:
-                _diff_paths(a[key], b[key], sub, out)
-        return
-    if isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            out.append(f"{path}[len {len(a)} != {len(b)}]")
-            return
-        for i, (x, y) in enumerate(zip(a, b)):
-            _diff_paths(x, y, f"{path}[{i}]", out)
-        return
-    if a != b:
-        out.append(path)
-
-
 def _require_twin_scenarios(hw: Scenario, sw: Scenario) -> None:
-    a = canonical_dict(hw)
-    b = canonical_dict(sw)
-    a.pop("dpm_variant")
-    b.pop("dpm_variant")
-    a["meta"].pop("name")
-    b["meta"].pop("name")
-    a["meta"].pop("description")
-    b["meta"].pop("description")
     diffs: list[str] = []
-    _diff_paths(a, b, "", diffs)
+    for f in fields(Scenario):
+        a, b = getattr(hw, f.name), getattr(sw, f.name)
+        if not f.compare or f.name in ("name", "description", "dpm_variant") or a == b:
+            continue
+        if is_dataclass(a):
+            diffs += [f"{f.name}.{g.name}" for g in fields(a) if getattr(a, g.name) != getattr(b, g.name)]
+        else:
+            diffs.append(f.name)
     if diffs:
         raise ComparisonError(
             "scenarios must be identical apart from dpm_variant; differing fields: "

@@ -14,9 +14,9 @@ from pathlib import Path
 from .analysis import ComparisonError, SweepError, compare_dpm, sweep_lux
 from .engine import SimulationError, format_trace, run
 from .oracle import OracleError, compare_with_engine, run_oracle
-from .quantities import Illuminance
+from .quantities import Duration, Illuminance
 from .report import FORMATS, emit_report
-from .scenario import ScenarioError, parse_duration, parse_scenario
+from .scenario import ScenarioError, parse_quantity, parse_scenario
 
 
 def _load(path: str):
@@ -99,7 +99,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if scenario is None:
         return 1
     try:
-        timestep = parse_duration(args.timestep)
+        timestep = parse_quantity(args.timestep, Duration)
     except ScenarioError as exc:
         print(f"error: --timestep: {exc}", file=sys.stderr)
         return 1

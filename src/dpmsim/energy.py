@@ -19,37 +19,23 @@ _JOULES_PER_MAH_VOLT = 3.6
 
 @dataclass(frozen=True)
 class StorageElement:
-    """A rechargeable store with a piecewise-linear OCV curve."""
+    """A rechargeable store with a piecewise-linear OCV curve.
 
-    capacity_mah: float
-    nominal_voltage: Voltage
-    initial_soc: float
-    ocv_curve: tuple[tuple[float, Voltage], ...]
-    e_capacity: Energy
-    e_store: Energy
+    The defaults are the documented values a scenario file may omit.
+    """
 
-    @classmethod
-    def create(
-        cls,
-        capacity_mah: float,
-        nominal_voltage: Voltage,
-        ocv_curve: tuple[tuple[float, Voltage], ...],
-        initial_soc: float,
-    ) -> "StorageElement":
-        e_capacity = Energy.from_joules(capacity_mah * _JOULES_PER_MAH_VOLT * nominal_voltage.volts)
-        store = cls(
-            capacity_mah=capacity_mah,
-            nominal_voltage=nominal_voltage,
-            initial_soc=initial_soc,
-            ocv_curve=tuple((float(s), v) for s, v in ocv_curve),
-            e_capacity=e_capacity,
-            e_store=Energy(initial_soc * e_capacity.nj),
-        )
-        store.validate()
-        return store
+    capacity_mah: float = 10.0
+    nominal_voltage: Voltage = Voltage.from_volts(3.7)
+    initial_soc: float = 0.5
+    ocv_curve: tuple[tuple[float, Voltage], ...] = (
+        (0.0, Voltage.from_volts(3.0)),
+        (0.1, Voltage.from_volts(3.6)),
+        (1.0, Voltage.from_volts(4.2)),
+    )
 
-    def validate(self) -> None:
-        if self.capacity_mah <= 0:
+    def __post_init__(self) -> None:
+        # Comparisons are phrased so that a NaN fails them.
+        if not self.capacity_mah > 0:
             raise ValueError("storage capacity must be positive")
         if not 0.0 <= self.initial_soc <= 1.0:
             raise ValueError(f"initial_soc must lie in [0, 1], got {self.initial_soc}")
@@ -57,10 +43,18 @@ class StorageElement:
         if len(curve) < 2 or curve[0][0] != 0.0 or curve[-1][0] != 1.0:
             raise ValueError("ocv_curve must span soc 0 through soc 1")
         for (s0, v0), (s1, v1) in zip(curve, curve[1:]):
-            if s1 <= s0:
+            if not s0 < s1:
                 raise ValueError(f"ocv_curve soc values must be strictly increasing ({s0} -> {s1})")
             if v1.uv < v0.uv:
                 raise ValueError(f"ocv_curve voltages must be non-decreasing ({v0.uv} -> {v1.uv})")
+
+    @property
+    def e_capacity(self) -> Energy:
+        return Energy.from_joules(self.capacity_mah * _JOULES_PER_MAH_VOLT * self.nominal_voltage.volts)
+
+    @property
+    def e_store(self) -> Energy:
+        return Energy(self.initial_soc * self.e_capacity.nj)
 
     @property
     def v_empty(self) -> Voltage:

@@ -15,9 +15,10 @@ such that parse(emit(s)) == s.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalException
 from typing import Any
 
 import yaml
@@ -76,115 +77,74 @@ class Scenario:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
-# --- quantity text parsing ---------------------------------------------
+# --- quantity text ------------------------------------------------------
 
 _NUMBER_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-zµμ]*)\s*$"
 )
 
-# Scale factors to each dimension's base unit.
-_UNIT_SCALES: dict[str, dict[str, Decimal]] = {
-    "time": {
-        "us": Decimal(1),
-        "ms": Decimal(10) ** 3,
-        "s": Decimal(10) ** 6,
-        "min": Decimal(60) * Decimal(10) ** 6,
-        "h": Decimal(3600) * Decimal(10) ** 6,
-    },
-    "voltage": {"uV": Decimal(1), "mV": Decimal(10) ** 3, "V": Decimal(10) ** 6},
-    "current": {
-        "nA": Decimal(1),
-        "uA": Decimal(10) ** 3,
-        "mA": Decimal(10) ** 6,
-        "A": Decimal(10) ** 9,
-    },
-    "power": {
-        "nW": Decimal(1),
-        "uW": Decimal(10) ** 3,
-        "mW": Decimal(10) ** 6,
-        "W": Decimal(10) ** 9,
-    },
-    "energy": {
-        "nJ": Decimal(1),
-        "uJ": Decimal(10) ** 3,
-        "mJ": Decimal(10) ** 6,
-        "J": Decimal(10) ** 9,
-    },
-    "charge": {"mAh": Decimal(1), "Ah": Decimal(10) ** 3},
-    "illuminance": {"lux": Decimal(1), "": Decimal(1)},
-}
+_TIME = {"us": 1, "ms": 10**3, "s": 10**6, "min": 60 * 10**6, "h": 3600 * 10**6}
 
-_BASE_UNIT = {
-    "time": "us",
-    "voltage": "uV",
-    "current": "nA",
-    "power": "nW",
-    "energy": "nJ",
-    "charge": "mAh",
-    "illuminance": "lux",
+# Per quantity type: the dimension, the attribute holding the value in the
+# base unit, whether that value is an integer on the base unit's grid, and
+# the accepted suffixes with their scale to the base unit, base unit first.
+# A bare float is a store's capacity in mAh.
+_QUANTITIES: dict[type, tuple[str, str | None, bool, dict[str, int]]] = {
+    Duration: ("time", "us", True, _TIME),
+    TimePoint: ("time", "us", True, _TIME),
+    Voltage: ("voltage", "uv", True, {"uV": 1, "mV": 10**3, "V": 10**6}),
+    Current: ("current", "na", True, {"nA": 1, "uA": 10**3, "mA": 10**6, "A": 10**9}),
+    Power: ("power", "nw", False, {"nW": 1, "uW": 10**3, "mW": 10**6, "W": 10**9}),
+    Energy: ("energy", "nj", False, {"nJ": 1, "uJ": 10**3, "mJ": 10**6, "J": 10**9}),
+    Illuminance: ("illuminance", "lux", False, {"lux": 1, "": 1}),
+    float: ("charge", None, False, {"mAh": 1, "Ah": 10**3}),
 }
 
 
-def _scaled(text: str, dimension: str) -> Decimal:
+def parse_quantity(value: Any, kind: type) -> Any:
+    """Read a number with a unit suffix ("452nA", "2.2V", "10min") as kind.
+
+    The value is scaled through Decimal so that decimal literals land
+    exactly; it must be finite, fit kind, and for integer kinds land on
+    the base unit's grid.
+    """
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ScenarioError(f"expected a quantity string, got {value!r}")
+    text = str(value)
+    dimension, _, integral, scales = _QUANTITIES[kind]
     match = _NUMBER_RE.match(text)
     if not match:
         raise ScenarioError(f"cannot read {text!r} as a number with a unit suffix")
     number, suffix = match.groups()
     suffix = suffix.replace("µ", "u").replace("μ", "u")
-    scales = _UNIT_SCALES[dimension]
     if suffix not in scales:
         expected = ", ".join(sorted(u for u in scales if u))
         raise ScenarioError(f"{text!r} is not a {dimension} (expected a suffix from: {expected})")
     try:
-        return Decimal(number) * scales[suffix]
-    except InvalidOperation as exc:
+        scaled = Decimal(number) * scales[suffix]
+    except DecimalException as exc:
         raise ScenarioError(f"cannot read {text!r} as a number") from exc
+    if integral:
+        magnitude: int | float = int(scaled)
+        if magnitude != scaled:
+            raise ScenarioError(f"{text!r} does not land on the 1 {next(iter(scales))} grid")
+        if kind is TimePoint and magnitude < 0:
+            raise ScenarioError(f"{text!r}: time points cannot be negative")
+    else:
+        magnitude = float(scaled)
+        if not math.isfinite(magnitude):
+            raise ScenarioError(f"{text!r} is not a finite {dimension}")
+    try:
+        return kind(magnitude)
+    except OverflowError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
-def _integral(text: str, dimension: str) -> int:
-    value = _scaled(text, dimension)
-    if value != value.to_integral_value():
-        raise ScenarioError(
-            f"{text!r} does not land on the 1 {_BASE_UNIT[dimension]} grid"
-        )
-    return int(value)
-
-
-def parse_duration(text: str) -> Duration:
-    return Duration(_integral(text, "time"))
-
-
-def parse_timepoint(text: str) -> TimePoint:
-    value = _integral(text, "time")
-    if value < 0:
-        raise ScenarioError(f"{text!r}: time points cannot be negative")
-    return TimePoint(value)
-
-
-def parse_voltage(text: str) -> Voltage:
-    return Voltage(_integral(text, "voltage"))
-
-
-def parse_current(text: str) -> Current:
-    return Current(_integral(text, "current"))
-
-
-def parse_power(text: str) -> Power:
-    return Power(float(_scaled(text, "power")))
-
-
-def parse_energy(text: str) -> Energy:
-    return Energy(float(_scaled(text, "energy")))
-
-
-def parse_illuminance(text: str | int | float) -> Illuminance:
-    if isinstance(text, (int, float)):
-        return Illuminance(float(text))
-    return Illuminance(float(_scaled(text, "illuminance")))
-
-
-def parse_capacity_mah(text: str) -> float:
-    return float(_scaled(text, "charge"))
+def quantity_text(q: Any) -> str:
+    """The canonical text of a quantity: its exact value in the base unit."""
+    _, attr, integral, scales = _QUANTITIES[type(q)]
+    value = q if attr is None else getattr(q, attr)
+    return f"{value if integral else repr(float(value))}{next(iter(scales))}"
 
 
 # --- YAML loading with source lines ------------------------------------
@@ -238,17 +198,20 @@ class _Section:
             self.fields = node.value
         self.seen: set[str] = set()
 
+    def sub(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
     def where(self, key: str) -> str:
         node = self.fields.get(key)
         suffix = f" (line {node.line})" if node is not None else ""
-        prefix = f"{self.path}." if self.path else ""
-        return f"{prefix}{key}{suffix}"
+        return f"{self.sub(key)}{suffix}"
 
     def take(self, key: str) -> _Node | None:
         self.seen.add(key)
         return self.fields.get(key)
 
-    def scalar(self, key: str, parse, default, *, missing: list[str] | None = None):
+    def scalar(self, key: str, kind, default, *, missing: list[str] | None = None):
+        """Read key as a quantity type from _QUANTITIES or through a checker."""
         node = self.take(key)
         if node is None:
             if default is _REQUIRED:
@@ -259,16 +222,12 @@ class _Section:
         if isinstance(node.value, (dict, list)):
             raise ScenarioError(f"{self.where(key)}: expected a scalar")
         try:
-            return parse(node.value)
-        except ScenarioError as exc:
-            raise ScenarioError(f"{self.where(key)}: {exc}") from exc
-        except (TypeError, ValueError) as exc:
+            return _read(node.value, kind)
+        except ValueError as exc:
             raise ScenarioError(f"{self.where(key)}: {exc}") from exc
 
     def section(self, key: str) -> "_Section":
-        node = self.take(key)
-        prefix = f"{self.path}.{key}" if self.path else key
-        return _Section(node, prefix)
+        return _Section(self.take(key), self.sub(key))
 
     def sequence(self, key: str) -> list[_Node] | None:
         node = self.take(key)
@@ -278,24 +237,38 @@ class _Section:
             raise ScenarioError(f"{self.where(key)}: expected a list")
         return node.value
 
+    def items(self, key: str, kinds: tuple, default):
+        """Read a list of single values (one kind) or of [x, y] pairs (two)."""
+        nodes = self.sequence(key)
+        if nodes is None:
+            return default
+        values = []
+        for i, entry in enumerate(nodes):
+            where = f"{self.sub(key)}[{i}] (line {entry.line})"
+            if len(kinds) == 1:
+                parts = [entry]
+            elif isinstance(entry.value, list) and len(entry.value) == 2:
+                parts = entry.value
+            else:
+                raise ScenarioError(f"{where}: expected a [x, y] pair")
+            try:
+                read = tuple(_read(part.value, kind) for part, kind in zip(parts, kinds))
+            except ValueError as exc:
+                raise ScenarioError(f"{where}: {exc}") from exc
+            values.append(read if len(kinds) > 1 else read[0])
+        return tuple(values)
+
     def reject_unknown(self) -> None:
         for key, node in self.fields.items():
             if key not in self.seen:
-                prefix = f"{self.path}." if self.path else ""
-                raise ScenarioError(f"{prefix}{key} (line {node.line}): unknown field")
+                raise ScenarioError(f"{self.sub(key)} (line {node.line}): unknown field")
 
 
-class _Required:
-    pass
+_REQUIRED = object()  # the default of a field the file must set
 
 
-_REQUIRED = _Required()
-
-
-def _text(value: Any) -> str:
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ScenarioError(f"expected a quantity string, got {value!r}")
-    return str(value)
+def _read(value: Any, kind) -> Any:
+    return parse_quantity(value, kind) if kind in _QUANTITIES else kind(value)
 
 
 def _fraction(value: Any) -> float:
@@ -322,12 +295,6 @@ def _int(value: Any) -> int:
     return value
 
 
-def _pair(entry: _Node, path: str) -> tuple[_Node, _Node]:
-    if not isinstance(entry.value, list) or len(entry.value) != 2:
-        raise ScenarioError(f"{path} (line {entry.line}): expected a [x, y] pair")
-    return entry.value[0], entry.value[1]
-
-
 # --- parsing ------------------------------------------------------------
 
 
@@ -350,17 +317,17 @@ def parse_scenario(text: str) -> Scenario:
     pmic_sec = root.section("pmic")
     flagged: list[str] = []
     pmic = PmicConfig(
-        v_cold_start=pmic_sec.scalar("v_cold_start", lambda v: parse_voltage(_text(v)), PmicConfig.v_cold_start),
-        p_cold_start=pmic_sec.scalar("p_cold_start", lambda v: parse_power(_text(v)), PmicConfig.p_cold_start),
-        v_chrdy=pmic_sec.scalar("v_chrdy", lambda v: parse_voltage(_text(v)), PmicConfig.v_chrdy, missing=flagged),
-        v_ovch=pmic_sec.scalar("v_ovch", lambda v: parse_voltage(_text(v)), PmicConfig.v_ovch, missing=flagged),
+        v_cold_start=pmic_sec.scalar("v_cold_start", Voltage, PmicConfig.v_cold_start),
+        p_cold_start=pmic_sec.scalar("p_cold_start", Power, PmicConfig.p_cold_start),
+        v_chrdy=pmic_sec.scalar("v_chrdy", Voltage, PmicConfig.v_chrdy, missing=flagged),
+        v_ovch=pmic_sec.scalar("v_ovch", Voltage, PmicConfig.v_ovch, missing=flagged),
         v_ovch_hysteresis=pmic_sec.scalar(
-            "v_ovch_hysteresis", lambda v: parse_voltage(_text(v)), PmicConfig.v_ovch_hysteresis, missing=flagged
+            "v_ovch_hysteresis", Voltage, PmicConfig.v_ovch_hysteresis, missing=flagged
         ),
-        grace_window=pmic_sec.scalar("grace_window", lambda v: parse_duration(_text(v)), PmicConfig.grace_window),
+        grace_window=pmic_sec.scalar("grace_window", Duration, PmicConfig.grace_window),
     )
     # Schema v1 still carries pmic.i_quiescent; the drain it names is always_on.i_pmic.
-    i_quiescent = pmic_sec.scalar("i_quiescent", lambda v: parse_current(_text(v)), None)
+    i_quiescent = pmic_sec.scalar("i_quiescent", Current, None)
     pmic_sec.reject_unknown()
     for key in flagged:
         default = getattr(PmicConfig, key)
@@ -371,15 +338,11 @@ def parse_scenario(text: str) -> Scenario:
 
     always_sec = root.section("always_on")
     always_on = AlwaysOnBudget(
-        i_pmic=always_sec.scalar("i_pmic", lambda v: parse_current(_text(v)), AlwaysOnBudget.i_pmic),
-        i_rtc=always_sec.scalar("i_rtc", lambda v: parse_current(_text(v)), AlwaysOnBudget.i_rtc),
-        i_touch=always_sec.scalar("i_touch", lambda v: parse_current(_text(v)), AlwaysOnBudget.i_touch),
-        i_extra_leakage=always_sec.scalar(
-            "i_extra_leakage", lambda v: parse_current(_text(v)), AlwaysOnBudget.i_extra_leakage
-        ),
-        rail_voltage=always_sec.scalar(
-            "rail_voltage", lambda v: parse_voltage(_text(v)), AlwaysOnBudget.rail_voltage
-        ),
+        i_pmic=always_sec.scalar("i_pmic", Current, AlwaysOnBudget.i_pmic),
+        i_rtc=always_sec.scalar("i_rtc", Current, AlwaysOnBudget.i_rtc),
+        i_touch=always_sec.scalar("i_touch", Current, AlwaysOnBudget.i_touch),
+        i_extra_leakage=always_sec.scalar("i_extra_leakage", Current, AlwaysOnBudget.i_extra_leakage),
+        rail_voltage=always_sec.scalar("rail_voltage", Voltage, AlwaysOnBudget.rail_voltage),
     )
     always_sec.reject_unknown()
     if i_quiescent is not None and i_quiescent != always_on.i_pmic:
@@ -389,26 +352,14 @@ def parse_scenario(text: str) -> Scenario:
         )
 
     storage_sec = root.section("storage")
-    curve_nodes = storage_sec.sequence("ocv_curve")
-    if curve_nodes is None:
-        curve = ((0.0, Voltage.from_volts(3.0)), (0.1, Voltage.from_volts(3.6)), (1.0, Voltage.from_volts(4.2)))
-    else:
-        curve_list = []
-        for i, entry in enumerate(curve_nodes):
-            soc_node, v_node = _pair(entry, f"storage.ocv_curve[{i}]")
-            try:
-                curve_list.append((_fraction(soc_node.value), parse_voltage(_text(v_node.value))))
-            except ScenarioError as exc:
-                raise ScenarioError(f"storage.ocv_curve[{i}] (line {entry.line}): {exc}") from exc
-        curve = tuple(curve_list)
+    # Read every field first, so that a field's own error keeps its path.
+    curve = storage_sec.items("ocv_curve", (_fraction, Voltage), StorageElement.ocv_curve)
+    capacity = storage_sec.scalar("capacity", float, StorageElement.capacity_mah)
+    nominal = storage_sec.scalar("nominal_voltage", Voltage, StorageElement.nominal_voltage)
+    soc = storage_sec.scalar("initial_soc", _fraction, StorageElement.initial_soc)
     try:
-        storage = StorageElement.create(
-            capacity_mah=storage_sec.scalar("capacity", lambda v: parse_capacity_mah(_text(v)), 10.0),
-            nominal_voltage=storage_sec.scalar(
-                "nominal_voltage", lambda v: parse_voltage(_text(v)), Voltage.from_volts(3.7)
-            ),
-            ocv_curve=curve,
-            initial_soc=storage_sec.scalar("initial_soc", _fraction, 0.5),
+        storage = StorageElement(
+            capacity_mah=capacity, nominal_voltage=nominal, initial_soc=soc, ocv_curve=curve
         )
     except ValueError as exc:
         raise ScenarioError(f"storage (line {storage_sec.line}): {exc}") from exc
@@ -416,57 +367,29 @@ def parse_scenario(text: str) -> Scenario:
 
     rtc_sec = root.section("rtc")
     rtc = RtcConfig(
-        alarm_period=rtc_sec.scalar("alarm_period", lambda v: parse_duration(_text(v)), RtcConfig.alarm_period),
-        first_alarm=rtc_sec.scalar("first_alarm", lambda v: parse_timepoint(_text(v)), RtcConfig.first_alarm),
-        rearm_on_clear=rtc_sec.scalar("rearm_on_clear", _bool, False),
+        alarm_period=rtc_sec.scalar("alarm_period", Duration, RtcConfig.alarm_period),
+        first_alarm=rtc_sec.scalar("first_alarm", TimePoint, RtcConfig.first_alarm),
+        rearm_on_clear=rtc_sec.scalar("rearm_on_clear", _bool, RtcConfig.rearm_on_clear),
     )
     rtc_sec.reject_unknown()
 
     touch_sec = root.section("touch")
-    press_nodes = touch_sec.sequence("press_times")
-    presses: tuple[TimePoint, ...] = ()
-    if press_nodes is not None:
-        press_list = []
-        for i, entry in enumerate(press_nodes):
-            try:
-                press_list.append(parse_timepoint(_text(entry.value)))
-            except ScenarioError as exc:
-                raise ScenarioError(f"touch.press_times[{i}] (line {entry.line}): {exc}") from exc
-        presses = tuple(press_list)
-    touch = TouchScript(press_times=presses)
+    touch = TouchScript(press_times=touch_sec.items("press_times", (TimePoint,), TouchScript.press_times))
     touch_sec.reject_unknown()
 
     harv_sec = root.section("harvester")
-    cal_nodes = harv_sec.sequence("calibration")
-    if cal_nodes is None:
+    calibration = harv_sec.items("calibration", (Illuminance, Power), None)
+    if calibration is None:
         raise ScenarioError(f"harvester.calibration (line {harv_sec.line}): required field is missing")
-    cal_list = []
-    for i, entry in enumerate(cal_nodes):
-        lux_node, p_node = _pair(entry, f"harvester.calibration[{i}]")
-        try:
-            cal_list.append((parse_illuminance(lux_node.value), parse_power(_text(p_node.value))))
-        except ScenarioError as exc:
-            raise ScenarioError(f"harvester.calibration[{i}] (line {entry.line}): {exc}") from exc
     harvester = HarvesterModel(
-        calibration=tuple(cal_list),
-        v_open_circuit=harv_sec.scalar(
-            "v_open_circuit", lambda v: parse_voltage(_text(v)), HarvesterModel.v_open_circuit
-        ),
+        calibration=calibration,
+        v_open_circuit=harv_sec.scalar("v_open_circuit", Voltage, HarvesterModel.v_open_circuit),
     )
     harv_sec.reject_unknown()
 
-    light_nodes = root.sequence("light_timeline")
-    if light_nodes is None:
-        timeline: tuple[tuple[TimePoint, Illuminance], ...] = ((TimePoint.zero(), Illuminance(0.0)),)
-    else:
-        timeline_list = []
-        for i, entry in enumerate(light_nodes):
-            t_node, lux_node = _pair(entry, f"light_timeline[{i}]")
-            try:
-                timeline_list.append((parse_timepoint(_text(t_node.value)), parse_illuminance(lux_node.value)))
-            except ScenarioError as exc:
-                raise ScenarioError(f"light_timeline[{i}] (line {entry.line}): {exc}") from exc
-        timeline = tuple(timeline_list)
+    timeline = root.items(
+        "light_timeline", (TimePoint, Illuminance), ((TimePoint.zero(), Illuminance(0.0)),)
+    )
 
     script_nodes = root.sequence("load_script")
     steps: list[LoadStep] = []
@@ -478,8 +401,8 @@ def parse_scenario(text: str) -> Scenario:
             steps.append(
                 LoadStep(
                     name=step_sec.scalar("name", _string, _REQUIRED),
-                    duration=step_sec.scalar("duration", lambda v: parse_duration(_text(v)), _REQUIRED),
-                    energy=step_sec.scalar("energy", lambda v: parse_energy(_text(v)), _REQUIRED),
+                    duration=step_sec.scalar("duration", Duration, _REQUIRED),
+                    energy=step_sec.scalar("energy", Energy, _REQUIRED),
                 )
             )
             step_sec.reject_unknown()
@@ -492,7 +415,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(
             f"{variant_sec.where('kind')}: kind must be 'hardware_gated' or 'software_sleep'"
         ) from None
-    i_sleep = variant_sec.scalar("i_sleep", lambda v: parse_current(_text(v)), None)
+    i_sleep = variant_sec.scalar("i_sleep", Current, None)
     variant_sec.reject_unknown()
     if kind is VariantKind.SOFTWARE_SLEEP and i_sleep is None:
         raise ScenarioError(f"{variant_sec.where('kind')}: software_sleep requires i_sleep")
@@ -501,7 +424,7 @@ def parse_scenario(text: str) -> Scenario:
     variant = DpmVariant(kind=kind, i_sleep=i_sleep)
 
     sim_sec = root.section("sim")
-    duration = sim_sec.scalar("duration", lambda v: parse_duration(_text(v)), _REQUIRED)
+    duration = sim_sec.scalar("duration", Duration, _REQUIRED)
     sim_sec.reject_unknown()
 
     root.reject_unknown()
@@ -530,7 +453,6 @@ def validate_scenario(s: Scenario) -> None:
     """Cross-field validation; raises ScenarioError on the first problem."""
     try:
         s.pmic.validate()
-        s.storage.validate()
         s.always_on.validate()
         s.rtc.validate()
         s.touch.validate()
@@ -565,63 +487,54 @@ def validate_scenario(s: Scenario) -> None:
 # --- canonical emission --------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def canonical_dict(s: Scenario) -> dict:
     """The scenario as plain data in canonical key order and base units."""
+    q = quantity_text
     variant: dict[str, Any] = {"kind": s.dpm_variant.kind.value}
     if s.dpm_variant.i_sleep is not None:
-        variant["i_sleep"] = f"{s.dpm_variant.i_sleep.na}nA"
+        variant["i_sleep"] = q(s.dpm_variant.i_sleep)
     return {
         "schema_version": s.schema_version,
         "meta": {"name": s.name, "description": s.description},
         "pmic": {
-            "v_cold_start": f"{s.pmic.v_cold_start.uv}uV",
-            "p_cold_start": f"{_fmt_float(s.pmic.p_cold_start.nw)}nW",
-            "v_chrdy": f"{s.pmic.v_chrdy.uv}uV",
-            "v_ovch": f"{s.pmic.v_ovch.uv}uV",
-            "v_ovch_hysteresis": f"{s.pmic.v_ovch_hysteresis.uv}uV",
-            "grace_window": f"{s.pmic.grace_window.us}us",
-            "i_quiescent": f"{s.always_on.i_pmic.na}nA",
+            "v_cold_start": q(s.pmic.v_cold_start),
+            "p_cold_start": q(s.pmic.p_cold_start),
+            "v_chrdy": q(s.pmic.v_chrdy),
+            "v_ovch": q(s.pmic.v_ovch),
+            "v_ovch_hysteresis": q(s.pmic.v_ovch_hysteresis),
+            "grace_window": q(s.pmic.grace_window),
+            "i_quiescent": q(s.always_on.i_pmic),
         },
         "storage": {
-            "capacity": f"{_fmt_float(s.storage.capacity_mah)}mAh",
-            "nominal_voltage": f"{s.storage.nominal_voltage.uv}uV",
+            "capacity": q(float(s.storage.capacity_mah)),
+            "nominal_voltage": q(s.storage.nominal_voltage),
             "initial_soc": s.storage.initial_soc,
-            "ocv_curve": [[soc, f"{v.uv}uV"] for soc, v in s.storage.ocv_curve],
+            "ocv_curve": [[soc, q(v)] for soc, v in s.storage.ocv_curve],
         },
         "always_on": {
-            "i_pmic": f"{s.always_on.i_pmic.na}nA",
-            "i_rtc": f"{s.always_on.i_rtc.na}nA",
-            "i_touch": f"{s.always_on.i_touch.na}nA",
-            "i_extra_leakage": f"{s.always_on.i_extra_leakage.na}nA",
-            "rail_voltage": f"{s.always_on.rail_voltage.uv}uV",
+            "i_pmic": q(s.always_on.i_pmic),
+            "i_rtc": q(s.always_on.i_rtc),
+            "i_touch": q(s.always_on.i_touch),
+            "i_extra_leakage": q(s.always_on.i_extra_leakage),
+            "rail_voltage": q(s.always_on.rail_voltage),
         },
         "rtc": {
-            "alarm_period": f"{s.rtc.alarm_period.us}us",
-            "first_alarm": f"{s.rtc.first_alarm.us}us",
+            "alarm_period": q(s.rtc.alarm_period),
+            "first_alarm": q(s.rtc.first_alarm),
             "rearm_on_clear": s.rtc.rearm_on_clear,
         },
-        "touch": {"press_times": [f"{t.us}us" for t in s.touch.press_times]},
+        "touch": {"press_times": [q(t) for t in s.touch.press_times]},
         "harvester": {
-            "v_open_circuit": f"{s.harvester.v_open_circuit.uv}uV",
-            "calibration": [
-                [f"{_fmt_float(lux.lux)}lux", f"{_fmt_float(p.nw)}nW"] for lux, p in s.harvester.calibration
-            ],
+            "v_open_circuit": q(s.harvester.v_open_circuit),
+            "calibration": [[q(lux), q(p)] for lux, p in s.harvester.calibration],
         },
-        "light_timeline": [[f"{t.us}us", f"{_fmt_float(lux.lux)}lux"] for t, lux in s.light_timeline],
+        "light_timeline": [[q(t), q(lux)] for t, lux in s.light_timeline],
         "load_script": [
-            {
-                "name": step.name,
-                "duration": f"{step.duration.us}us",
-                "energy": f"{_fmt_float(step.energy.nj)}nJ",
-            }
+            {"name": step.name, "duration": q(step.duration), "energy": q(step.energy)}
             for step in s.load_script
         ],
         "dpm_variant": variant,
-        "sim": {"duration": f"{s.duration.us}us"},
+        "sim": {"duration": q(s.duration)},
     }
 
 

@@ -181,7 +181,7 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
         timeline = _bright_timeline(rng, duration, dark_tail=(klass == "clamp" and rng.random() < 0.5))
 
     # Anchor the state of charge for the class, then rebuild the store.
-    probe = StorageElement.create(capacity_mah, Voltage.from_volts(3.7), curve, 0.5)
+    probe = StorageElement(capacity_mah, Voltage.from_volts(3.7), 0.5, curve)
     cap = probe.e_capacity.nj
     e_chrdy = _soc_at_uv(probe.ocv_segments, v_chrdy.uv) * cap
     e_ovch = _soc_at_uv(probe.ocv_segments, v_ovch.uv) * cap
@@ -202,9 +202,7 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
         soc = rng.uniform(max(0.97, e_ovch / cap + 0.005), 0.999)
     else:
         soc = (e_chrdy + margin) / cap
-    storage = StorageElement.create(
-        capacity_mah, Voltage.from_volts(3.7), curve, round(soc, 9)
-    )
+    storage = StorageElement(capacity_mah, Voltage.from_volts(3.7), round(soc, 9), curve)
 
     n_touch = rng.randint(0, 3)
     press_ms = sorted(rng.sample(range(1, duration.us // 1000), k=n_touch))
@@ -235,6 +233,4 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
 
 def with_initial_soc(s: Scenario, soc: float) -> Scenario:
     """The same scenario with its store starting at another state of charge."""
-    return replace(s, storage=StorageElement.create(
-        s.storage.capacity_mah, s.storage.nominal_voltage, s.storage.ocv_curve, soc
-    ))
+    return replace(s, storage=replace(s.storage, initial_soc=soc))

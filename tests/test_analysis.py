@@ -8,9 +8,10 @@ import pytest
 
 import dpmsim.analysis as analysis
 from dpmsim.analysis import ComparisonError, SweepError, compare_dpm, sweep_lux
-from dpmsim.engine import run
+from dpmsim.engine import format_trace, run
 from dpmsim.quantities import Current, Illuminance
-from dpmsim.scenario import DpmVariant, VariantKind
+from dpmsim.report import report_dict
+from dpmsim.scenario import DpmVariant, VariantKind, with_constant_light
 from scenario_gen import with_initial_soc
 
 
@@ -61,6 +62,17 @@ class TestCompareDpm:
         assert cmp.idle_ratio_sw_over_hw == pytest.approx(5.685840707964601, rel=1e-15)
         assert cmp.idle_ratio_note == "~5.7x"
 
+    def test_sleep_at_the_always_on_total_changes_no_ledger(self, hw_report, case_study):
+        # Metamorphic check: a software-sleep twin whose idle draw equals the
+        # always-on total is the hardware-gated run under another name.
+        variant = DpmVariant(kind=VariantKind.SOFTWARE_SLEEP, i_sleep=case_study.always_on.total_current)
+        twin = run(dataclasses.replace(case_study, dpm_variant=variant))
+        assert format_trace(twin) == format_trace(hw_report)
+        hw_doc, twin_doc = report_dict(hw_report), report_dict(twin)
+        for key in ("energy", "final", "cycles", "mode_residency_us"):
+            assert twin_doc[key] == hw_doc[key], key
+        assert compare_dpm(hw_report, twin).idle_ratio_sw_over_hw == 1.0
+
     def test_rejects_same_variant_kind(self, hw_report):
         with pytest.raises(ComparisonError, match="one hardware_gated run"):
             compare_dpm(hw_report, hw_report)
@@ -69,6 +81,10 @@ class TestCompareDpm:
         shifted = run(with_initial_soc(case_study_sw, 0.6))
         with pytest.raises(ComparisonError, match="storage.initial_soc"):
             compare_dpm(hw_report, shifted)
+        # List fields are named whole, not by entry.
+        relit = run(with_constant_light(case_study_sw, 100.0))
+        with pytest.raises(ComparisonError, match="differing fields: light_timeline$"):
+            compare_dpm(hw_report, relit)
 
     def test_text_rendering(self, hw_report, sw_report):
         text = compare_dpm(hw_report, sw_report).text()

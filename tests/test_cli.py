@@ -85,6 +85,34 @@ sim:
     assert out.count("warning:") == 3
 
 
+@pytest.mark.parametrize(
+    "extra, where",
+    [
+        ("light_timeline: [[0s, 1e400lux]]\n", "light_timeline[0] (line 9): '1e400lux' is not a finite"),
+        ("touch:\n  press_times: [1e30us]\n", "touch.press_times[0] (line 10): TimePoint"),
+        ("storage:\n  ocv_curve: [[0, 3V], [.nan, 3.6V], [1, 4.2V]]\n", "storage (line 10): ocv_curve"),
+    ],
+    ids=["non-finite", "overflow", "nan-knot"],
+)
+def test_validate_refuses_values_out_of_range(tmp_path, capsys, extra, where):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(
+        "schema_version: 1\n"
+        "pmic: {v_chrdy: 3.3V, v_ovch: 4V, v_ovch_hysteresis: 50mV}\n"
+        "harvester:\n"
+        "  calibration:\n"
+        "    - [200lux, 43uW]\n"
+        "sim:\n"
+        "  duration: 10min\n"
+        "\n" + extra
+    )
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: {where}")
+    assert "Traceback" not in captured.err
+
+
 def test_compare_prints_ratio(capsys):
     assert main(["compare", CASE_STUDY, CASE_STUDY_SW]) == 0
     out = capsys.readouterr().out

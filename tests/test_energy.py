@@ -49,7 +49,7 @@ CURVE = (
 
 
 def _store(soc: float = 0.5) -> StorageElement:
-    return StorageElement.create(10.0, Voltage.from_volts(3.7), CURVE, soc)
+    return StorageElement(10.0, Voltage.from_volts(3.7), soc, CURVE)
 
 
 # -- storage element ------------------------------------------------------
@@ -66,17 +66,17 @@ def test_capacity_from_charge_and_nominal_voltage():
 
 def test_storage_validation_errors():
     with pytest.raises(ValueError):
-        StorageElement.create(0.0, Voltage.from_volts(3.7), CURVE, 0.5)
+        StorageElement(0.0, Voltage.from_volts(3.7), 0.5, CURVE)
     with pytest.raises(ValueError):
-        StorageElement.create(10.0, Voltage.from_volts(3.7), CURVE, 1.5)
+        StorageElement(10.0, Voltage.from_volts(3.7), 1.5, CURVE)
     with pytest.raises(ValueError):
-        StorageElement.create(10.0, Voltage.from_volts(3.7), CURVE[:-1], 0.5)
+        StorageElement(10.0, Voltage.from_volts(3.7), 0.5, CURVE[:-1])
     decreasing_soc = (CURVE[0], (0.1, Voltage.from_volts(3.6)), (0.1, Voltage.from_volts(4.2)))
     with pytest.raises(ValueError):
-        StorageElement.create(10.0, Voltage.from_volts(3.7), decreasing_soc, 0.5)
+        StorageElement(10.0, Voltage.from_volts(3.7), 0.5, decreasing_soc)
     sagging = (CURVE[0], (0.1, Voltage.from_volts(2.9)), (1.0, Voltage.from_volts(4.2)))
     with pytest.raises(ValueError):
-        StorageElement.create(10.0, Voltage.from_volts(3.7), sagging, 0.5)
+        StorageElement(10.0, Voltage.from_volts(3.7), 0.5, sagging)
 
 
 def test_ocv_at_curve_knots_and_between():

@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
-import pytest
+from pathlib import Path
 
-from dpmsim.quantities import Current, Duration, Illuminance, TimePoint, Voltage
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dpmsim.quantities import Current, Duration, Energy, Illuminance, Power, TimePoint, Voltage
 from dpmsim.scenario import (
+    _QUANTITIES,
     ScenarioError,
     VariantKind,
     canonical_dict,
     emit_scenario,
-    parse_duration,
-    parse_illuminance,
+    parse_quantity,
     parse_scenario,
-    parse_voltage,
+    quantity_text,
     with_constant_light,
 )
 from scenario_gen import random_scenario, with_initial_soc
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = """
 schema_version: 1
@@ -156,12 +162,40 @@ sim:
             lambda d: d + "always_on:\n  fixed_cycle_energy: 0.6mJ\n",
             "always_on.fixed_cycle_energy (line 13): unknown field",
         ),
+        # Values past 64 bits or past the float range name their field.
+        (
+            lambda d: d.replace("10min", "1e30us"),
+            "sim.duration (line 11): Duration 1000000000000000000000000000000"
+            " does not fit in 64-bit signed range",
+        ),
+        (
+            lambda d: d + "touch:\n  press_times: [1e30us]\n",
+            "touch.press_times[0] (line 13): TimePoint 1000000000000000000000000000000 does not fit",
+        ),
+        (
+            lambda d: d + "light_timeline: [[0s, 1e400lux]]\n",
+            "light_timeline[0] (line 12): '1e400lux' is not a finite illuminance",
+        ),
+        (
+            lambda d: d.replace("43uW", "1e400uW"),
+            "harvester.calibration[0] (line 9): '1e400uW' is not a finite power",
+        ),
+        (
+            lambda d: d + "storage:\n  ocv_curve: [[0, 3V], [.nan, 3.6V], [1, 4.2V]]\n",
+            "storage (line 13): ocv_curve soc values must be strictly increasing (0.0 -> nan)",
+        ),
     ],
 )
 def test_parse_rejections(mangle, needle):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(mangle(MINIMAL))
     assert needle in str(err.value)
+
+
+def test_storage_field_errors_name_their_path_once():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL + "storage: {capacity: 10}\n")
+    assert str(err.value) == "storage.capacity (line 12): '10' is not a charge (expected a suffix from: Ah, mAh)"
 
 
 def test_pmic_quiescent_current_must_match_the_always_on_budget():
@@ -196,16 +230,45 @@ def test_empty_and_malformed_documents():
 
 
 def test_quantity_parsers():
-    assert parse_duration("10min") == Duration.from_minutes(10)
-    assert parse_duration("1h") == Duration(3_600_000_000)
-    assert parse_voltage("3.3V") == Voltage(3_300_000)
-    assert parse_voltage("50mV") == Voltage(50_000)
-    assert parse_illuminance(200) == Illuminance(200.0)
-    assert parse_illuminance("200lux") == Illuminance(200.0)
+    assert parse_quantity("10min", Duration) == Duration.from_minutes(10)
+    assert parse_quantity("1h", Duration) == Duration(3_600_000_000)
+    assert parse_quantity("3.3V", Voltage) == Voltage(3_300_000)
+    assert parse_quantity("50mV", Voltage) == Voltage(50_000)
+    assert parse_quantity(200, Illuminance) == Illuminance(200.0)
+    assert parse_quantity("200lux", Illuminance) == Illuminance(200.0)
     with pytest.raises(ScenarioError):
-        parse_duration("10parsecs")
+        parse_quantity("10parsecs", Duration)
     with pytest.raises(ScenarioError):
-        parse_voltage("0.5uV")  # finer than the 1 uV grid
+        parse_quantity("0.5uV", Voltage)  # finer than the 1 uV grid
+
+
+_I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_FINITE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.one_of(
+        _I64.map(Duration),
+        st.integers(min_value=0, max_value=2**63 - 1).map(TimePoint),
+        _I64.map(Voltage),
+        _I64.map(Current),
+        _FINITE.map(Power),
+        _FINITE.map(Energy),
+        _FINITE.map(Illuminance),
+        _FINITE,  # a bare float is a store's capacity in mAh
+        st.sampled_from([Power(1e-05), Energy(1e20), Illuminance(5e-324), 1.7976931348623157e308]),
+    )
+)
+def test_quantity_text_round_trips(q):
+    assert parse_quantity(quantity_text(q), type(q)) == q
+
+
+def test_readme_lists_the_accepted_suffixes():
+    readme = README.read_text()
+    for dimension, _, integral, scales in _QUANTITIES.values():
+        suffixes = ", ".join(f"`{u}`" if u else "a bare number" for u in scales)
+        stored = f"{'integer' if integral else 'float'} {next(iter(scales))}"
+        assert f"| {dimension} | {suffixes} | {stored} |" in readme
 
 
 def test_emit_parse_round_trip(case_study, case_study_sw):
