@@ -20,7 +20,6 @@ crossings still sitting in the heap.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from .energy import (
     harvest_voltage,
     power_of,
 )
-from .pmic import Mode, PmicMode, stage2, step_mode
+from .pmic import Exit, Mode, PmicMode, cold_start, stage2, step_mode
 from .quantities import Duration, Energy, Illuminance, Power, TimePoint, Voltage
 from .scenario import Scenario, VariantKind
 from .wake import LatchState, on_rtc_alarm, on_touch
@@ -60,22 +59,16 @@ _KIND_LABEL = (
  _SHUTDOWN_GRACE_EXPIRE, _LIGHT_CHANGE, _MCU_CLEAR_LATCH, _SIM_END) = range(len(_KIND_LABEL))
 
 
-class CrossKind(enum.Enum):
-    CHRDY_UP = "chrdy_up"
-    CHRDY_DOWN = "chrdy_down"
-    OVCH_UP = "ovch_up"
-    OVCH_DOWN = "ovch_down"
-    COLD_START = "cold_start"
-    DEPLETED = "depleted"
-
-    def __init__(self, value: str) -> None:
-        self.label = f"threshold_cross:{value}"
-
-
 # Enum member lookups go through the enum metaclass; the per-event paths
 # compare against these module-level names instead.
-_CHRDY_UP, _CHRDY_DOWN, _OVCH_UP, _OVCH_DOWN, _COLD_START, _DEPLETED = CrossKind
 _DEEP_SLEEP, _WAKE_UP, _NORMAL, _OVERCHARGE, _SHUTDOWN = Mode
+
+# The two threshold events that no stored-voltage exit in the PMIC's
+# table covers: cold start reads the harvester (pmic.cold_start), and
+# depletion is the store reaching zero energy, which the engine forces.
+# Neither has a voltage, so their uv is never read.
+_COLD_START = Exit("cold_start", 0, True, _WAKE_UP)
+_DEPLETED = Exit("depleted", 0, False, _DEEP_SLEEP)
 
 
 @dataclass(frozen=True)
@@ -169,7 +162,6 @@ class _State:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         storage = scenario.storage
-        cfg = scenario.pmic
         self.now = 0
         self.mode = PmicMode.deep_sleep()
         self.mode_since = 0
@@ -179,9 +171,7 @@ class _State:
         self.e_store_nj = storage.e_store.nj
         self.v_empty_uv = storage.v_empty.uv
         self.v_full_uv = storage.v_full.uv
-        self.v_chrdy_uv = cfg.v_chrdy.uv
-        self.v_ovch_uv = cfg.v_ovch.uv
-        self.v_ovch_exit_uv = (cfg.v_ovch - cfg.v_ovch_hysteresis).uv
+        self.exits = scenario.pmic.exits
         self.p_harvest_nw = 0.0
         self.v_harvest_uv = 0
         self.idle_nw = idle_power(scenario).nw
@@ -296,57 +286,42 @@ def _advance_to(state: _State, t_us: int) -> None:
 # -- threshold crossing prediction ------------------------------------
 
 
-def _predicate(state: _State, e_nj: float, cross: CrossKind, target_uv: int) -> bool:
-    """Would the guard for this crossing hold at stored energy e_nj?"""
-    if cross is _DEPLETED:
+def _holds(state: _State, exit: Exit, e_nj: float) -> bool:
+    """Would the exit's guard hold at stored energy e_nj?"""
+    if exit is _DEPLETED:
         return e_nj <= 0.0
-    v = round(state.v_store_float(e_nj))
-    if cross is _CHRDY_UP or cross is _OVCH_UP:
-        return v >= target_uv
-    if cross is _CHRDY_DOWN:
-        return v < target_uv
-    if cross is _OVCH_DOWN:
-        return v <= target_uv
-    raise SimulationError(f"no predicate for {cross}")
+    return exit.holds(round(state.v_store_float(e_nj)))
 
 
-def find_threshold_crossing(state: _State, cross: CrossKind, target_uv: int) -> int | None:
-    """Earliest microsecond at which the crossing guard becomes true.
+def find_threshold_crossing(state: _State, exit: Exit) -> int | None:
+    """Earliest microsecond at which the exit's guard becomes true.
 
-    Returns None when the net power points away from the target. The
+    Returns None when the net power points away from the exit. The
     guards compare round(v) on the 1 uV grid, so each one switches on
-    half a microvolt from its threshold: ``round(v) >= T`` from T - 0.5,
-    ``round(v) < T`` below T - 0.5 and ``round(v) <= T`` below T + 0.5.
-    The solve aims at that onset and walks forward over float dust, so
-    the dispatched event sees v_store within 1 uV of its target.
+    half a microvolt from its threshold: ``round(v) >= T`` from T - 0.5
+    and ``round(v) < T`` below T - 0.5. The solve aims at that onset and
+    walks forward over float dust, so the dispatched event sees v_store
+    within 1 uV of the first reading at which the guard holds.
     """
-    if cross is not _DEPLETED and not state.v_empty_uv <= target_uv <= state.v_full_uv:
+    if exit is not _DEPLETED and not state.v_empty_uv <= exit.uv <= state.v_full_uv:
         raise ValueError(
-            f"crossing target {target_uv} uV is outside the storage voltage range"
+            f"crossing target {exit.uv} uV is outside the storage voltage range"
         )
     p_nw = state.net_nw()
     e0 = state.e_store_nj
     now = state.now
 
-    if _predicate(state, e0, cross, target_uv):
+    if _holds(state, exit, e0):
         return now
 
-    if cross is _DEPLETED:
+    if exit is _DEPLETED:
         if p_nw >= 0.0:
             return None
         e_aim = 0.0
     else:
-        rising = cross is _CHRDY_UP or cross is _OVCH_UP
-        if rising and p_nw <= 0.0:
+        if (p_nw <= 0.0) if exit.rising else (p_nw >= 0.0):
             return None
-        if not rising and p_nw >= 0.0:
-            return None
-        if cross is _CHRDY_DOWN:
-            v_aim = target_uv - 0.5 - 1e-6
-        elif cross is _OVCH_DOWN:
-            v_aim = target_uv + 0.5 - 1e-6
-        else:
-            v_aim = target_uv - 0.5
+        v_aim = exit.uv - 0.5 if exit.rising else exit.uv - 0.5 - 1e-6
         v_aim = min(float(state.v_full_uv), max(float(state.v_empty_uv), v_aim))
         e_aim = _soc_at_uv(state.ocv_segments, v_aim) * state.e_capacity_nj
 
@@ -357,7 +332,7 @@ def find_threshold_crossing(state: _State, cross: CrossKind, target_uv: int) -> 
     # forward microsecond by microsecond (strictly bounded in practice).
     for _ in range(1000):
         e_t = e0 + p_nw * (t - now) / 1e6
-        if _predicate(state, e_t, cross, target_uv):
+        if _holds(state, exit, e_t):
             return t
         t += 1
     # Power so small the guard is still dust-distance away; dispatching
@@ -365,56 +340,38 @@ def find_threshold_crossing(state: _State, cross: CrossKind, target_uv: int) -> 
     return t
 
 
-def _candidate_crossing(state: _State) -> tuple[CrossKind, int] | None:
-    """The one crossing that can end the current mode, given p_net's sign."""
-    p_nw = state.net_nw()
-    mode = state.mode.mode
-    if mode is _NORMAL:
-        if p_nw > 0.0:
-            return _OVCH_UP, state.v_ovch_uv
-        if p_nw < 0.0:
-            return _CHRDY_DOWN, state.v_chrdy_uv
-        return None
-    if mode is _WAKE_UP or mode is _SHUTDOWN:
-        if p_nw > 0.0:
-            return _CHRDY_UP, state.v_chrdy_uv
-        if p_nw < 0.0:
-            return _DEPLETED, 0
-        return None
-    if mode is _OVERCHARGE:
-        if p_nw < 0.0:
-            return _OVCH_DOWN, state.v_ovch_exit_uv
-        return None
-    if mode is _DEEP_SLEEP:
-        return None
-    raise SimulationError(f"unhandled mode {mode}")
-
-
 def _reschedule_threshold(state: _State) -> None:
-    """Keep exactly one live threshold-crossing event outstanding."""
+    """Keep exactly one live threshold-crossing event outstanding.
+
+    The crossing is the current mode's exit whose direction matches the
+    sign of p_net; failing that, a draining store's depletion.
+    """
     state.threshold_gen += 1
-    if state.mode.mode is _DEEP_SLEEP:
+    mode = state.mode.mode
+    if mode is _DEEP_SLEEP:
         # Cold start is driven by the harvester, not the store; it can
         # only become true at a dispatch, so test it right here.
-        cfg = state.scenario.pmic
-        cold = (
-            not state.cold_start_held
-            and state.v_harvest_uv >= cfg.v_cold_start.uv
-            and state.p_harvest_nw >= cfg.p_cold_start.nw
-        )
-        if cold:
-            state.push(state.now, _THRESHOLD_CROSS, state.threshold_gen, (_COLD_START, 0))
+        if not state.cold_start_held and cold_start(state.scenario.pmic, state.v_harvest_uv, state.p_harvest_nw):
+            state.push(state.now, _THRESHOLD_CROSS, state.threshold_gen, _COLD_START)
         return
-    candidate = _candidate_crossing(state)
-    if candidate is None:
+    p_nw = state.net_nw()
+    if p_nw == 0.0:
         return
-    t = find_threshold_crossing(state, *candidate)
+    rising = p_nw > 0.0
+    for exit in state.exits[mode]:
+        if exit.rising is rising:
+            break
+    else:
+        if rising:
+            return
+        exit = _DEPLETED
+    t = find_threshold_crossing(state, exit)
     if t is None:
         return
     if state.queue and t > state.queue[0][0]:
         # p_net cannot change before the next event; recompute then.
         return
-    state.push(t, _THRESHOLD_CROSS, state.threshold_gen, candidate)
+    state.push(t, _THRESHOLD_CROSS, state.threshold_gen, exit)
 
 
 # -- dispatch ----------------------------------------------------------
@@ -496,15 +453,16 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
     v_uv = state.v_store_uv()
     note_parts: list[str] = []
     label = _KIND_LABEL[kind]
-    cross = None
+    exit = None
     if kind == _THRESHOLD_CROSS:
-        cross, target_uv = payload
-        label = cross.label
-        if cross is not _COLD_START and cross is not _DEPLETED and abs(v_uv - target_uv) > 1:
-            # Freshness contract: a live crossing lands on its target.
-            raise SimulationError(
-                f"threshold crossing dispatched {abs(v_uv - target_uv)} uV off target"
-            )
+        exit = payload
+        label = "threshold_cross:" + exit.label
+        if exit is not _COLD_START and exit is not _DEPLETED:
+            # Freshness contract: a live crossing lands on the first
+            # reading at which its guard holds.
+            off_uv = abs(v_uv - (exit.uv if exit.rising else exit.uv - 1))
+            if off_uv > 1:
+                raise SimulationError(f"threshold crossing dispatched {off_uv} uV off target")
 
     mode = state.mode.mode
     powered = mode is not _DEEP_SLEEP
@@ -563,7 +521,7 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
     # One mode-machine step per dispatch; cascades arrive as immediate
     # threshold-crossing events scheduled by the recompute below. The
     # grace expiry itself is resolved here too.
-    if cross is _DEPLETED:
+    if exit is _DEPLETED:
         if mode is not _DEEP_SLEEP:
             state.record_anomaly("storage_depleted", f"store empty in {mode.value}; forced deep sleep")
             state.set_mode(PmicMode.deep_sleep())
@@ -616,23 +574,21 @@ def _settle_initial_mode(state: _State) -> None:
 
     The run opens on a node that has been sitting under the first light
     sample with its opening store charge, so the supervisor is already
-    past its transients: a store at or above the charge-ready threshold
-    means the system booted long ago (cold start is only the from-empty
-    path), a lit harvester with an empty store means it is mid cold
-    start, and otherwise it is dark and dead. Deriving this up front
+    past its transients: the mode machine is stepped from WakeUp to a
+    fixed point (a charged store means the system booted long ago; cold
+    start is only the from-empty path). A node still in WakeUp without
+    light enough to cold start is dark and dead. Deriving this up front
     also keeps a wake trigger scheduled exactly at t=0 from outranking
     the t=0 light sample and landing unpowered.
     """
     cfg = state.scenario.pmic
     v_uv = state.v_store_uv()
-    if v_uv >= state.v_ovch_uv:
-        state.mode = PmicMode.overcharge()
-    elif v_uv >= state.v_chrdy_uv:
-        state.mode = PmicMode.normal()
-    elif state.v_harvest_uv >= cfg.v_cold_start.uv and state.p_harvest_nw >= cfg.p_cold_start.nw:
-        state.mode = PmicMode.wake_up()
-    else:
-        state.mode = PmicMode.deep_sleep()
+    mode = PmicMode.wake_up()
+    while (stepped := step_mode(mode, cfg, v_uv, state.v_harvest_uv, state.p_harvest_nw, 0)) is not mode:
+        mode = stepped
+    if mode.mode is _WAKE_UP and not cold_start(cfg, state.v_harvest_uv, state.p_harvest_nw):
+        mode = PmicMode.deep_sleep()
+    state.mode = mode
 
 
 def run(scenario: Scenario) -> Report:

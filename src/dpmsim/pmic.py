@@ -8,15 +8,30 @@ latch decide the node's operating stage (see stage2):
   Stage2: the switched compute rail is additionally up, which requires
           a charged store (Normal or Overcharge) and a set latch.
 
-Threshold comparisons treat boundary equality as belonging to the
-higher-energy mode, so a store sitting exactly on a threshold never
-oscillates.
+Each mode's stored-voltage exits are one table, PmicConfig.exits, which
+the mode machine and the engine's crossing solver both read. A rising
+exit holds once ``v >= uv`` and a falling one once ``v < uv``, on the
+store voltage rounded to whole microvolts:
+
+  Normal     -> Overcharge  ovch_up     rising at v_ovch
+  Normal     -> Shutdown    chrdy_down  falling at v_chrdy
+  WakeUp     -> Normal      chrdy_up    rising at v_chrdy
+  Shutdown   -> Normal      chrdy_up    rising at v_chrdy
+  Overcharge -> Normal      ovch_down   falling at v_ovch - hysteresis + 1
+
+So a store sitting exactly on v_chrdy or v_ovch is in the higher mode,
+and one sitting exactly on the overcharge exit v_ovch - hysteresis has
+left Overcharge. DeepSleep has no stored-voltage exit: it leaves only by
+cold start, which reads the harvester (cold_start). Shutdown also ends
+in DeepSleep when its grace window runs out.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .quantities import Duration, Power, TimePoint, Voltage
 
@@ -66,6 +81,19 @@ class PmicMode:
         return cls(Mode.SHUTDOWN, deadline)
 
 
+class Exit(NamedTuple):
+    """A stored-voltage guard that ends a mode and the mode it leads to."""
+
+    label: str
+    uv: int
+    rising: bool
+    to: Mode
+
+    def holds(self, v_uv: int) -> bool:
+        """Does the guard hold at this store voltage, in whole uV?"""
+        return v_uv >= self.uv if self.rising else v_uv < self.uv
+
+
 @dataclass(frozen=True)
 class PmicConfig:
     """Threshold and timing parameters of the mode machine.
@@ -94,6 +122,26 @@ class PmicConfig:
         if self.grace_window.us <= 0:
             raise ValueError("grace_window must be positive")
 
+    @cached_property
+    def exits(self) -> dict[Mode, tuple[Exit, ...]]:
+        """Each mode's stored-voltage exits (see the module docstring)."""
+        chrdy_up = Exit("chrdy_up", self.v_chrdy.uv, True, _NORMAL)
+        return {
+            _DEEP_SLEEP: (),
+            _WAKE_UP: (chrdy_up,),
+            _NORMAL: (
+                Exit("ovch_up", self.v_ovch.uv, True, _OVERCHARGE),
+                Exit("chrdy_down", self.v_chrdy.uv, False, _SHUTDOWN),
+            ),
+            _OVERCHARGE: (Exit("ovch_down", (self.v_ovch - self.v_ovch_hysteresis).uv + 1, False, _NORMAL),),
+            _SHUTDOWN: (chrdy_up,),
+        }
+
+
+def cold_start(cfg: PmicConfig, v_harvester_uv: int, p_harvester_nw: float) -> bool:
+    """DeepSleep's one exit: the harvester alone can start the PMIC."""
+    return v_harvester_uv >= cfg.v_cold_start.uv and p_harvester_nw >= cfg.p_cold_start.nw
+
 
 def step_mode(
     current: PmicMode, cfg: PmicConfig, v_store_uv: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int
@@ -107,44 +155,25 @@ def step_mode(
     immediately followed by Normal when the store is already charged)
     re-invoke this per step.
     """
-    fired = _fired(current, cfg, v_store_uv, v_harvester_uv, p_harvester_nw, now_us)
-    if not fired:
-        return current
-    if len(fired) > 1:
-        raise RuntimeError(f"guard exclusivity violated from {current.mode}: {[name for name, _ in fired]}")
-    return fired[0][1]
-
-
-def _fired(
-    current: PmicMode, cfg: PmicConfig, v: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int
-) -> tuple[tuple[str, PmicMode], ...]:
-    """(guard name, next mode) for every transition guard satisfied right now."""
     mode = current.mode
-    if mode is _NORMAL:
-        fired = ()
-        if v >= cfg.v_ovch.uv:
-            fired += (("overcharge_enter", PmicMode.overcharge()),)
-        if v < cfg.v_chrdy.uv:
-            fired += (("shutdown_enter", PmicMode.shutdown(TimePoint(now_us + cfg.grace_window.us))),)
-        return fired
+    fired = None
+    for exit in cfg.exits[mode]:
+        if exit.holds(v_store_uv):
+            if fired is not None:
+                raise RuntimeError(f"guard exclusivity violated from {mode}: {[fired.label, exit.label]}")
+            fired = exit
+    if fired is not None:
+        if fired.to is _SHUTDOWN:
+            return PmicMode.shutdown(TimePoint(now_us + cfg.grace_window.us))
+        return PmicMode(fired.to)
     if mode is _DEEP_SLEEP:
-        if v_harvester_uv >= cfg.v_cold_start.uv and p_harvester_nw >= cfg.p_cold_start.nw:
-            return (("cold_start", PmicMode.wake_up()),)
-    elif mode is _WAKE_UP:
-        if v >= cfg.v_chrdy.uv:
-            return (("charge_ready", PmicMode.normal()),)
-    elif mode is _OVERCHARGE:
-        if v <= cfg.v_ovch.uv - cfg.v_ovch_hysteresis.uv:
-            return (("overcharge_exit", PmicMode.normal()),)
-    elif mode is _SHUTDOWN:
-        # Recovery wins at the boundary instant; the engine never
-        # evaluates a Shutdown mode after its grace deadline has been
-        # dispatched, so the two guards stay exclusive via v_store.
-        if v >= cfg.v_chrdy.uv:
-            return (("shutdown_recover", PmicMode.normal()),)
-        if now_us >= current.grace_deadline.us:
-            return (("grace_expired", PmicMode.deep_sleep()),)
-    return ()
+        if cold_start(cfg, v_harvester_uv, p_harvester_nw):
+            return PmicMode.wake_up()
+    elif mode is _SHUTDOWN and now_us >= current.grace_deadline.us:
+        # Recovery by chrdy_up wins at the boundary instant: the table
+        # is read first.
+        return PmicMode.deep_sleep()
+    return current
 
 
 def stage2(mode: Mode, latch_set: bool) -> bool:

@@ -10,11 +10,11 @@ import re
 import pytest
 
 from dpmsim.engine import (
-    CrossKind,
+    _DEPLETED,
     SimulationError,
     _advance_to,
     _check_invariants,
-    _predicate,
+    _holds,
     _set_lux,
     _State,
     _Step,
@@ -24,7 +24,7 @@ from dpmsim.engine import (
     run,
 )
 from dpmsim.energy import _soc_at_uv
-from dpmsim.pmic import PmicMode
+from dpmsim.pmic import Exit, Mode, PmicMode
 from dpmsim.quantities import Duration, Energy, Illuminance, TimePoint
 from dpmsim.scenario import parse_scenario, with_constant_light
 from dpmsim.wake import LatchState, on_touch
@@ -54,17 +54,23 @@ def _state(doc: str = ZERO_IDLE) -> _State:
     return _State(parse_scenario(doc))
 
 
+def _exit(st: _State, label: str) -> Exit:
+    """The PMIC's exit of that label in the state's configuration."""
+    return next(e for exits in st.exits.values() for e in exits if e.label == label)
+
+
+
 # -- crossing prediction ---------------------------------------------------
 
 
 def test_crossing_none_when_power_points_away():
     st = _state()
     st.mode = PmicMode.deep_sleep()  # power split is all zero here
-    assert find_threshold_crossing(st, CrossKind.OVCH_UP, 4_000_000) is None
+    assert find_threshold_crossing(st, _exit(st, "ovch_up")) is None
     st.mode = PmicMode.wake_up()  # dark, zero idle: p_net is exactly 0
     st.e_store_nj = 1e6  # just above empty
-    assert find_threshold_crossing(st, CrossKind.CHRDY_UP, 3_300_000) is None
-    assert find_threshold_crossing(st, CrossKind.DEPLETED, 0) is None
+    assert find_threshold_crossing(st, _exit(st, "chrdy_up")) is None
+    assert find_threshold_crossing(st, _DEPLETED) is None
 
 
 def test_crossing_already_satisfied_returns_now():
@@ -72,12 +78,12 @@ def test_crossing_already_satisfied_returns_now():
     st.mode = PmicMode.normal()
     st.now = 777
     # soc 0.5 sits at 3.867 V, above the charge-ready target.
-    assert find_threshold_crossing(st, CrossKind.CHRDY_UP, 3_300_000) == 777
+    assert find_threshold_crossing(st, _exit(st, "chrdy_up")) == 777
 
 
-def _guard_holds(st: _State, cross: CrossKind, target_uv: int, t: int) -> bool:
-    """The crossing's guard at time t, on the state's constant net power."""
-    return _predicate(st, st.e_store_nj + st.net_nw() * (t - st.now) / 1e6, cross, target_uv)
+def _guard_holds(st: _State, exit: Exit, t: int) -> bool:
+    """The exit's guard at time t, on the state's constant net power."""
+    return _holds(st, exit, st.e_store_nj + st.net_nw() * (t - st.now) / 1e6)
 
 
 def test_crossing_charge_time_is_energy_over_power():
@@ -86,13 +92,14 @@ def test_crossing_charge_time_is_energy_over_power():
     st.mode = PmicMode.wake_up()
     e_target = 0.05 * st.e_capacity_nj  # 3.3 V on the default curve
     st.e_store_nj = e_target - 1e6
-    t = find_threshold_crossing(st, CrossKind.CHRDY_UP, 3_300_000)
+    chrdy_up = _exit(st, "chrdy_up")
+    t = find_threshold_crossing(st, chrdy_up)
     # round(v) >= 3.3 V already holds half a microvolt (11.1 uJ) below
     # 3.3 V, which is where the oracle puts its charge-ready threshold.
     e_onset = _soc_at_uv(st.ocv_segments, 3_300_000 - 0.5) * st.e_capacity_nj
     assert t == math.ceil((e_onset - st.e_store_nj) / 1000.0 * 1e6)
-    assert _guard_holds(st, CrossKind.CHRDY_UP, 3_300_000, t)
-    assert not _guard_holds(st, CrossKind.CHRDY_UP, 3_300_000, t - 1)
+    assert _guard_holds(st, chrdy_up, t)
+    assert not _guard_holds(st, chrdy_up, t - 1)
 
 
 def test_crossing_overcharge_exit_lands_on_its_onset(case_study):
@@ -100,15 +107,16 @@ def test_crossing_overcharge_exit_lands_on_its_onset(case_study):
     _set_lux(st, Illuminance(200.0))
     st.mode = PmicMode.overcharge()
     st.active_step = st.steps[0]  # sensor_sample drains ~733 uW
-    exit_uv = st.v_ovch_exit_uv
-    # round(v) <= T holds below T + 0.5 uV: the oracle's overcharge exit.
-    e_onset = _soc_at_uv(st.ocv_segments, exit_uv + 0.5) * st.e_capacity_nj
+    ovch_down = _exit(st, "ovch_down")
+    # round(v) < T holds below T - 0.5 uV, which is v_ovch - hysteresis
+    # + 0.5 uV: the oracle's overcharge exit.
+    e_onset = _soc_at_uv(st.ocv_segments, ovch_down.uv - 0.5) * st.e_capacity_nj
     st.e_store_nj = e_onset + 470_000.0
-    t = find_threshold_crossing(st, CrossKind.OVCH_DOWN, exit_uv)
+    t = find_threshold_crossing(st, ovch_down)
     onset_us = (e_onset - st.e_store_nj) / st.net_nw() * 1e6
     assert 0.0 <= t - onset_us <= 1.0
-    assert _guard_holds(st, CrossKind.OVCH_DOWN, exit_uv, t)
-    assert not _guard_holds(st, CrossKind.OVCH_DOWN, exit_uv, t - 1)
+    assert _guard_holds(st, ovch_down, t)
+    assert not _guard_holds(st, ovch_down, t - 1)
 
 
 def test_crossing_depletion_time_is_exact():
@@ -116,14 +124,14 @@ def test_crossing_depletion_time_is_exact():
     st = _state(doc)
     st.mode = PmicMode.wake_up()  # dark: drains at exactly 1000 nW
     st.e_store_nj = 1_000_000.0
-    assert find_threshold_crossing(st, CrossKind.DEPLETED, 0) == 1_000_000_000
+    assert find_threshold_crossing(st, _DEPLETED) == 1_000_000_000
 
 
 def test_crossing_target_outside_curve_is_rejected():
     st = _state()
     st.mode = PmicMode.normal()
     with pytest.raises(ValueError):
-        find_threshold_crossing(st, CrossKind.CHRDY_UP, 2_000_000)
+        find_threshold_crossing(st, Exit("chrdy_up", 2_000_000, True, Mode.NORMAL))
 
 
 def test_advance_to_rejects_time_running_backwards():
@@ -348,7 +356,7 @@ def test_marginal_light_recovers_from_shutdown_by_crossing(case_study):
     assert recovery.time_us == 25_226
     st = _State(s)
     _set_lux(st, Illuminance(4.83))
-    e_onset = _soc_at_uv(st.ocv_segments, st.v_chrdy_uv - 0.5) * st.e_capacity_nj
+    e_onset = _soc_at_uv(st.ocv_segments, _exit(st, "chrdy_up").uv - 0.5) * st.e_capacity_nj
     p_net = st.p_harvest_nw - st.idle_nw
     assert recovery.time_us - entry.time_us == math.ceil((e_onset - entry.e_store_nj) / p_net * 1e6)
 
