@@ -321,8 +321,7 @@ def find_threshold_crossing(state: _State, exit: Exit) -> int | None:
     else:
         if (p_nw <= 0.0) if exit.rising else (p_nw >= 0.0):
             return None
-        v_aim = exit.uv - 0.5 if exit.rising else exit.uv - 0.5 - 1e-6
-        v_aim = min(float(state.v_full_uv), max(float(state.v_empty_uv), v_aim))
+        v_aim = min(float(state.v_full_uv), max(float(state.v_empty_uv), exit.uv - 0.5))
         e_aim = _soc_at_uv(state.ocv_segments, v_aim) * state.e_capacity_nj
 
     t = now + math.ceil((e_aim - e0) / p_nw * 1e6)

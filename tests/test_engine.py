@@ -8,6 +8,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hyp
 
 from dpmsim.engine import (
     _DEPLETED,
@@ -23,8 +25,8 @@ from dpmsim.engine import (
     idle_power,
     run,
 )
-from dpmsim.energy import _soc_at_uv
-from dpmsim.pmic import Exit, Mode, PmicMode
+from dpmsim.energy import _integrate, _soc_at_uv
+from dpmsim.pmic import Exit, Mode, PmicMode, step_mode
 from dpmsim.quantities import Duration, Energy, Illuminance, TimePoint
 from dpmsim.scenario import parse_scenario, with_constant_light
 from dpmsim.wake import LatchState, on_touch
@@ -117,6 +119,46 @@ def test_crossing_overcharge_exit_lands_on_its_onset(case_study):
     assert 0.0 <= t - onset_us <= 1.0
     assert _guard_holds(st, ovch_down, t)
     assert not _guard_holds(st, ovch_down, t - 1)
+
+
+MODE_EXITS = [
+    (PmicMode.normal(), "ovch_up"),
+    (PmicMode.normal(), "chrdy_down"),
+    (PmicMode.wake_up(), "chrdy_up"),
+    (PmicMode.shutdown(TimePoint(10**15)), "chrdy_up"),
+    (PmicMode.overcharge(), "ovch_down"),
+]
+
+
+@pytest.mark.parametrize(("mode", "label"), MODE_EXITS, ids=[f"{m.mode.value}-{lb}" for m, lb in MODE_EXITS])
+@given(gap_uv=hyp.floats(0.6, 5_000.0), log_p_nw=hyp.floats(3.0, 8.0))
+def test_step_mode_leaves_by_the_solved_crossing(case_study, mode, label, gap_uv, log_p_nw):
+    """The solved microsecond is where step_mode first takes the exit.
+
+    The store opens gap_uv short of the guard's onset (exit.uv - 0.5 uV)
+    and moves towards it at 1 uW-100 mW. The guard must hold at the
+    solved t and not at t - 2: t - 1 can still hold, because ceil over a
+    float quotient may land one us past an onset that sits on a us
+    boundary. Below ~1 uW near a full store, one us of charge is under
+    one ulp of the stored energy, so the power range stops there.
+    """
+    st = _State(case_study)
+    st.mode = mode
+    exit = _exit(st, label)
+    p_nw = 10.0**log_p_nw
+    # Net power is harvest minus the always-on drain; set one of them.
+    st.idle_nw, st.p_harvest_nw = (0.0, p_nw) if exit.rising else (p_nw, 0.0)
+    v_open = exit.uv - 0.5 + (-gap_uv if exit.rising else gap_uv)
+    st.e_store_nj = _soc_at_uv(st.ocv_segments, v_open) * st.e_capacity_nj
+    t = find_threshold_crossing(st, exit)
+
+    def mode_at(t_us: int) -> Mode:
+        e_nj = _integrate(st.e_store_nj, st.e_capacity_nj, st.net_nw(), t_us)[0]
+        v_uv = round(st.v_store_float(e_nj))
+        return step_mode(mode, case_study.pmic, v_uv, 0, 0.0, t_us).mode
+
+    assert mode_at(t) is exit.to
+    assert mode_at(t - 2) is mode.mode
 
 
 def test_crossing_depletion_time_is_exact():
