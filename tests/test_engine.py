@@ -13,9 +13,11 @@ from hypothesis import strategies as hyp
 
 from dpmsim.engine import (
     _DEPLETED,
+    _THRESHOLD_CROSS,
     SimulationError,
     _advance_to,
     _check_invariants,
+    _dispatch,
     _holds,
     _set_lux,
     _State,
@@ -380,6 +382,32 @@ def test_overcharge_rejects_surplus(case_study):
     assert r.e_store_final.nj <= r.e_store_initial.nj
     residency = dict((m, d.us) for m, d in r.mode_residency)
     assert residency["overcharge"] == r.duration_us
+
+
+@pytest.mark.parametrize("lux", [1e12, 1e15, 1e30])
+def test_light_that_fills_the_store_within_one_us_runs_to_overcharge(case_study, lux):
+    # The overcharge crossing lands wherever the store is after the one
+    # us in which it fills, up to v_full, not within 1 uV of v_ovch.
+    r = run(with_constant_light(case_study, lux))
+    assert r.final_mode == "overcharge"
+    assert r.e_overcharge_discarded.nj > 0.0
+
+
+def test_an_overflowing_ledger_fails_the_run(case_study):
+    # 1e300 lux harvests past the float range: the ledger turns to NaN,
+    # which must fail the balance check rather than reach a report.
+    with pytest.raises(SimulationError, match="out of balance by nan"):
+        run(with_constant_light(case_study, 1e300))
+
+
+def test_a_crossing_dispatched_off_its_onset_raises(case_study):
+    st = _State(case_study)
+    _set_lux(st, Illuminance(200.0))  # ~42 uW net: far under 1 uV per us
+    st.mode = PmicMode.normal()
+    ovch_up = _exit(st, "ovch_up")
+    st.e_store_nj = _soc_at_uv(st.ocv_segments, ovch_up.uv - 5) * st.e_capacity_nj
+    with pytest.raises(SimulationError, match="dispatched 5 uV off target"):
+        _dispatch(st, 0, _THRESHOLD_CROSS, st.threshold_gen, ovch_up)
 
 
 def test_marginal_light_recovers_from_shutdown_by_crossing(case_study):
