@@ -9,6 +9,7 @@ cover everything the simulator needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 _I64_MIN = -(2**63)
@@ -19,7 +20,9 @@ def _check_i64(value: int, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an int, got {type(value).__name__}")
     if not (_I64_MIN <= value <= _I64_MAX):
-        raise OverflowError(f"{what} {value} does not fit in 64-bit signed range")
+        # str() refuses ints past 4,300 digits; give the length instead.
+        shown = value if value.bit_length() < 10_000 else f"of {int(math.log10(abs(value))) + 1} digits"
+        raise OverflowError(f"{what} {shown} does not fit in 64-bit signed range")
     return value
 
 

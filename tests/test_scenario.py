@@ -168,6 +168,11 @@ sim:
             "sim.duration (line 11): Duration 1000000000000000000000000000000"
             " does not fit in 64-bit signed range",
         ),
+        # Past Python's 4,300-digit str() limit the value is named by its length.
+        (
+            lambda d: d.replace("10min", "1e5000us"),
+            "sim.duration (line 11): Duration of 5001 digits does not fit in 64-bit signed range",
+        ),
         (
             lambda d: d + "touch:\n  press_times: [1e30us]\n",
             "touch.press_times[0] (line 13): TimePoint 1000000000000000000000000000000 does not fit",
