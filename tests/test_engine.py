@@ -32,7 +32,7 @@ from dpmsim.pmic import Exit, Mode, PmicMode, step_mode
 from dpmsim.quantities import Duration, Energy, Illuminance, TimePoint
 from dpmsim.scenario import parse_scenario, with_constant_light
 from dpmsim.wake import LatchState, on_touch
-from scenario_gen import with_initial_soc
+from scenario_gen import random_scenario, with_initial_soc
 
 ZERO_IDLE = """
 schema_version: 1
@@ -462,3 +462,41 @@ def test_empty_script_still_cycles(case_study):
 def test_idle_power_variants(case_study, case_study_sw):
     assert idle_power(case_study).nw == 994.4
     assert idle_power(case_study_sw).nw == 6600.0
+
+
+# -- metamorphic relations ------------------------------------------------
+
+
+def test_touches_while_the_latch_is_set_change_only_the_trace(case_study):
+    # The t=0 alarm sets the latch and the burst clears it at 3.535 s.
+    touched = dataclasses.replace(
+        case_study, touch=dataclasses.replace(case_study.touch, press_times=(TimePoint(1_000_000), TimePoint(2_000_000)))
+    )
+    base, r = run(case_study), run(touched)
+    assert [rec.time_us for rec in r.trace if rec.kind == "touch_press"] == [1_000_000, 2_000_000]
+
+    def fields(rec):
+        return rec.time_us, rec.kind, rec.mode, rec.latch_set, rec.v_store_uv, rec.note
+
+    assert [fields(rec) for rec in r.trace if rec.kind != "touch_press"] == [fields(rec) for rec in base.trace]
+    # Each extra dispatch splits an integration interval, so the floats
+    # agree to rounding, not bit for bit.
+    close = pytest.approx
+    assert r.e_harvested.nj == close(base.e_harvested.nj, rel=1e-12)
+    assert [e.nj for _, e in r.e_consumed] == close([e.nj for _, e in base.e_consumed], rel=1e-12)
+    assert r.e_store_final.nj == close(base.e_store_final.nj, rel=1e-12)
+    assert [x for row in r.cycles for x in dataclasses.astuple(row)] == close(
+        [x for row in base.cycles for x in dataclasses.astuple(row)], rel=1e-12
+    )
+    assert (r.cycles_completed, r.mode_residency, r.anomalies) == (base.cycles_completed, base.mode_residency, base.anomalies)
+
+
+def test_more_constant_light_never_harvests_less():
+    violations = []
+    for seed in range(40):
+        s = random_scenario(seed)
+        lux = s.light_timeline[0][1].lux
+        harvested = [run(with_constant_light(s, lux * k)).e_harvested.nj for k in (0.5, 1.0, 1.5, 2.0)]
+        if any(more < less for less, more in zip(harvested, harvested[1:])):
+            violations.append((seed, harvested))
+    assert violations == []
