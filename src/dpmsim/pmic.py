@@ -8,22 +8,13 @@ latch decide the node's operating stage (see stage2):
   Stage2: the switched compute rail is additionally up, which requires
           a charged store (Normal or Overcharge) and a set latch.
 
-Each mode's stored-voltage exits are one table, PmicConfig.exits, which
-the mode machine and the engine's crossing solver both read. A rising
-exit holds once ``v >= uv`` and a falling one once ``v < uv``, on the
-store voltage rounded to whole microvolts:
-
-  Normal     -> Overcharge  ovch_up     rising at v_ovch
-  Normal     -> Shutdown    chrdy_down  falling at v_chrdy
-  WakeUp     -> Normal      chrdy_up    rising at v_chrdy
-  Shutdown   -> Normal      chrdy_up    rising at v_chrdy
-  Overcharge -> Normal      ovch_down   falling at v_ovch - hysteresis + 1
-
-So a store sitting exactly on v_chrdy or v_ovch is in the higher mode,
-and one sitting exactly on the overcharge exit v_ovch - hysteresis has
-left Overcharge. DeepSleep has no stored-voltage exit: it leaves only by
-cold start, which reads the harvester (cold_start). Shutdown also ends
-in DeepSleep when its grace window runs out.
+Each mode's stored-voltage exits are one table, PmicConfig.exits, read by
+the mode machine and the engine's crossing solver alike. On the store
+voltage in whole microvolts, a rising exit holds once v >= uv and a
+falling one once v < uv. So a store exactly on v_chrdy or v_ovch is in
+the higher mode, and one exactly on v_ovch - hysteresis has left
+Overcharge. DeepSleep leaves only by cold start, which reads the
+harvester; Shutdown also ends in DeepSleep when its grace window runs out.
 """
 
 from __future__ import annotations

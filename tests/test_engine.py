@@ -6,12 +6,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hyp
 
 from dpmsim.engine import (
+    _COLD_START,
     _DEPLETED,
     _THRESHOLD_CROSS,
     SimulationError,
@@ -28,7 +30,7 @@ from dpmsim.engine import (
     run,
 )
 from dpmsim.energy import _integrate, _soc_at_uv
-from dpmsim.pmic import Exit, Mode, PmicMode, step_mode
+from dpmsim.pmic import Exit, Mode, PmicConfig, PmicMode, step_mode
 from dpmsim.quantities import Duration, Energy, Illuminance, TimePoint
 from dpmsim.scenario import parse_scenario, with_constant_light
 from dpmsim.wake import LatchState, on_touch
@@ -283,6 +285,13 @@ def test_trace_line_format(case_study):
     )
     for line in text.splitlines():
         assert line_re.match(line), line
+
+
+def test_readme_lists_every_threshold_cross_label():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.findall(r"`threshold_cross:([a-z_]+)`", readme)
+    exits = {e.label for mode_exits in PmicConfig().exits.values() for e in mode_exits}
+    assert sorted(listed) == sorted(exits | {_COLD_START.label, _DEPLETED.label})
 
 
 def test_simultaneous_alarm_and_touch_resolve_alarm_first(case_study):
