@@ -361,9 +361,7 @@ def _reschedule_threshold(state: _State) -> None:
         if exit.rising is rising:
             break
     else:
-        if rising:
-            return
-        exit = _DEPLETED
+        exit = _DEPLETED  # the solver returns None for it unless p_net < 0
     t = find_threshold_crossing(state, exit)
     if t is None:
         return
