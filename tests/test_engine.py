@@ -65,7 +65,6 @@ def _exit(st: _State, label: str) -> Exit:
     return next(e for exits in st.exits.values() for e in exits if e.label == label)
 
 
-
 # -- crossing prediction ---------------------------------------------------
 
 
@@ -125,12 +124,11 @@ def test_crossing_overcharge_exit_lands_on_its_onset(case_study):
     assert not _guard_holds(st, ovch_down, t - 1)
 
 
+# Every (mode, exit) pair of the table; Shutdown's grace runs out far later.
 MODE_EXITS = [
-    (PmicMode.normal(), "ovch_up"),
-    (PmicMode.normal(), "chrdy_down"),
-    (PmicMode.wake_up(), "chrdy_up"),
-    (PmicMode.shutdown(TimePoint(10**15)), "chrdy_up"),
-    (PmicMode.overcharge(), "ovch_down"),
+    (PmicMode(mode, TimePoint(10**15) if mode is Mode.SHUTDOWN else None), e.label)
+    for mode, exits in PmicConfig().exits.items()
+    for e in exits
 ]
 
 
