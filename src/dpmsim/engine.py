@@ -8,9 +8,9 @@ byte-identical traces and reports.
 
 Event ordering is total: (time, kind priority, insertion sequence).
 Kind priority follows the order of _KIND_LABEL below, so
-simultaneous triggers resolve the same way on every run (an RTC alarm
-processed before a touch press at the same microsecond leaves the touch
-as the winning wake source, matching latest-trigger-wins).
+simultaneous triggers resolve the same way on every run: an RTC alarm
+and a touch press at the same microsecond both set the latch, and the
+alarm's record comes first in the trace.
 
 Exactly one threshold-crossing event is outstanding at any moment; it
 is recomputed from scratch after every dispatch because any dispatch
@@ -34,10 +34,9 @@ from .energy import (
     harvest_voltage,
     power_of,
 )
-from .pmic import Exit, Mode, PmicMode, cold_start, stage2, step_mode
-from .quantities import Duration, Energy, Illuminance, Power, TimePoint, Voltage
+from .pmic import Exit, Mode, cold_start, stage2, step_mode
+from .quantities import Duration, Energy, Illuminance, Power, Voltage
 from .scenario import Scenario, VariantKind
-from .wake import LatchState, on_rtc_alarm, on_touch
 
 ALWAYS_ON_COMPONENT = "always_on"
 
@@ -163,9 +162,10 @@ class _State:
         self.scenario = scenario
         storage = scenario.storage
         self.now = 0
-        self.mode = PmicMode.deep_sleep()
+        self.mode = _DEEP_SLEEP
+        # Also the start of Shutdown's grace window while in Shutdown.
         self.mode_since = 0
-        self.latch = LatchState.cleared()
+        self.latch_set = False
         self.ocv_segments = storage.ocv_segments
         self.e_capacity_nj = storage.e_capacity.nj
         self.e_store_nj = storage.e_store.nj
@@ -216,15 +216,15 @@ class _State:
     def v_store_uv(self) -> int:
         return round(_store_uv(self.ocv_segments, self.e_store_nj, self.e_capacity_nj))
 
-    def set_mode(self, mode: PmicMode) -> None:
+    def set_mode(self, mode: Mode) -> None:
         """Enter a mode, closing the residency interval of the one it leaves."""
-        self.time_in_mode[self.mode.mode] += self.now - self.mode_since
+        self.time_in_mode[self.mode] += self.now - self.mode_since
         self.mode_since = self.now
         self.mode = mode
 
     def net_nw(self) -> float:
         """Rate into the store in nW for the current state."""
-        mode = self.mode.mode
+        mode = self.mode
         if mode is _DEEP_SLEEP:
             return 0.0
         drain = self.idle_nw
@@ -251,7 +251,7 @@ def _advance_to(state: _State, t_us: int) -> None:
     if dt_us == 0:
         return
     to_store_nw = state.net_nw()
-    if state.mode.mode is not _DEEP_SLEEP:
+    if state.mode is not _DEEP_SLEEP:
         harvest_nw = state.p_harvest_nw
         harvest_e = harvest_nw * dt_us / 1e6
         state.e_harvested_nj += harvest_e
@@ -266,7 +266,7 @@ def _advance_to(state: _State, t_us: int) -> None:
             step_e = step.power_nw * dt_us / 1e6
             state.consumed_nj[step.name] += step_e
             state.cycle_consumed_nj += step_e
-        if state.mode.mode is _OVERCHARGE:
+        if state.mode is _OVERCHARGE:
             state.e_discarded_nj += max(0.0, harvest_nw - drain_nw) * dt_us / 1e6
 
     state.e_store_nj, clipped_high, clipped_low = _integrate(
@@ -346,7 +346,7 @@ def _reschedule_threshold(state: _State) -> None:
     sign of p_net; failing that, a draining store's depletion.
     """
     state.threshold_gen += 1
-    mode = state.mode.mode
+    mode = state.mode
     if mode is _DEEP_SLEEP:
         # Cold start is driven by the harvester, not the store; it can
         # only become true at a dispatch, so test it right here.
@@ -424,7 +424,7 @@ def _set_lux(state: _State, lux: Illuminance) -> None:
 def _check_invariants(state: _State) -> None:
     # Steps start and stop on Stage2 edges; one left running means an
     # edge was missed.
-    if state.active_step is not None and not stage2(state.mode.mode, state.latch.set):
+    if state.active_step is not None and not stage2(state.mode, state.latch_set):
         raise SimulationError(f"load step {state.active_step.name!r} running without Stage2 power")
     e = state.e_store_nj
     if not 0.0 <= e <= state.e_capacity_nj:
@@ -440,7 +440,7 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
         if state.active_step is None or gen != state.step_gen:
             return False
     elif kind == _SHUTDOWN_GRACE_EXPIRE:
-        if state.mode.mode is not _SHUTDOWN or state.mode.grace_deadline.us != t_us:
+        if state.mode is not _SHUTDOWN or state.mode_since + state.scenario.pmic.grace_window.us != t_us:
             return False
     elif kind == _RTC_ALARM:
         if gen != state.alarm_gen:
@@ -465,28 +465,26 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
                 if off_uv > 1 + abs(state.v_store_float(e) - state.v_store_float(e - state.net_nw() / 1e6)):
                     raise SimulationError(f"threshold crossing dispatched {off_uv} uV off target")
 
-    mode = state.mode.mode
+    mode = state.mode
     powered = mode is not _DEEP_SLEEP
-    stage2_before = stage2(mode, state.latch.set)
+    stage2_before = stage2(mode, state.latch_set)
 
     if kind == _RTC_ALARM:
         _flush_cycle(state)
-        rtc = state.scenario.rtc
         if powered:
-            state.latch, next_alarm = on_rtc_alarm(state.latch, TimePoint(t_us), rtc)
+            state.latch_set = True
             note_parts.append("latch_set=rtc")
             if mode is _SHUTDOWN:
                 note_parts.append("compute_rail_unpowered_until_recovery")
             elif mode is _WAKE_UP:
                 note_parts.append("compute_rail_unpowered_until_charged")
-            state.push(next_alarm.us, _RTC_ALARM, state.alarm_gen)
         else:
             note_parts.append("ignored_unpowered")
-            state.push(t_us + rtc.alarm_period.us, _RTC_ALARM, state.alarm_gen)
+        state.push(t_us + state.scenario.rtc.alarm_period.us, _RTC_ALARM, state.alarm_gen)
 
     elif kind == _TOUCH_PRESS:
         if powered:
-            state.latch = on_touch(state.latch, TimePoint(t_us))
+            state.latch_set = True
             note_parts.append("latch_set=touch")
         else:
             note_parts.append("ignored_unpowered")
@@ -508,7 +506,7 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
             state.record_anomaly("clear_skipped_unpowered", "latch clear arrived without Stage2 power")
             note_parts.append("clear_skipped_unpowered")
         else:
-            state.latch = LatchState.cleared(TimePoint(t_us))
+            state.latch_set = False
             note_parts.append("latch_cleared")
             rtc = state.scenario.rtc
             if rtc.rearm_on_clear:
@@ -525,7 +523,7 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
     if exit is _DEPLETED:
         if mode is not _DEEP_SLEEP:
             state.record_anomaly("storage_depleted", f"store empty in {mode.value}; forced deep sleep")
-            state.set_mode(PmicMode.deep_sleep())
+            state.set_mode(_DEEP_SLEEP)
             state.cold_start_held = True
             note_parts.append("forced_deep_sleep;cold_start_held_until_light_change")
     elif mode is _DEEP_SLEEP and state.cold_start_held:
@@ -534,35 +532,34 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
         # brown-out the hold exists to break.
         pass
     else:
-        new_mode = step_mode(
-            state.mode, state.scenario.pmic, v_uv, state.v_harvest_uv, state.p_harvest_nw, state.now
-        )
-        if new_mode is not state.mode:
-            note_parts.append(f"mode={new_mode.mode.value}")
-            if new_mode.mode is _SHUTDOWN:
-                state.push(new_mode.grace_deadline.us, _SHUTDOWN_GRACE_EXPIRE)
+        cfg = state.scenario.pmic
+        new_mode = step_mode(mode, state.mode_since, cfg, v_uv, state.v_harvest_uv, state.p_harvest_nw, state.now)
+        if new_mode is not mode:
+            note_parts.append(f"mode={new_mode.value}")
+            if new_mode is _SHUTDOWN:
+                state.push(state.now + cfg.grace_window.us, _SHUTDOWN_GRACE_EXPIRE)
             state.set_mode(new_mode)
 
     # Power loss wipes the latch: the latch logic lives on the rail that
     # just went down.
-    if state.mode.mode is _DEEP_SLEEP and state.latch.set:
-        state.latch = LatchState.cleared(TimePoint(state.now))
+    if state.mode is _DEEP_SLEEP and state.latch_set:
+        state.latch_set = False
         note_parts.append("latch_lost_power")
 
-    stage2_after = stage2(state.mode.mode, state.latch.set)
+    stage2_after = stage2(state.mode, state.latch_set)
     if stage2_after and not stage2_before:
         state.next_step_index = 0
         _start_next_step(state)
         note_parts.append("stage2_entered")
     elif stage2_before and not stage2_after:
-        _abort_step(state, f"(mode {state.mode.mode.value})" if state.latch.set else "(latch cleared)")
+        _abort_step(state, f"(mode {state.mode.value})" if state.latch_set else "(latch cleared)")
         note_parts.append("stage2_exited")
 
     _reschedule_threshold(state)
     _check_invariants(state)
 
     state.trace.append(
-        TraceRecord(t_us, label, state.mode.mode.value, state.latch.set, v_uv, state.e_store_nj, ";".join(note_parts))
+        TraceRecord(t_us, label, state.mode.value, state.latch_set, v_uv, state.e_store_nj, ";".join(note_parts))
     )
     return True
 
@@ -584,11 +581,11 @@ def _settle_initial_mode(state: _State) -> None:
     """
     cfg = state.scenario.pmic
     v_uv = state.v_store_uv()
-    mode = PmicMode.wake_up()
-    while (stepped := step_mode(mode, cfg, v_uv, state.v_harvest_uv, state.p_harvest_nw, 0)) is not mode:
+    mode = _WAKE_UP
+    while (stepped := step_mode(mode, 0, cfg, v_uv, state.v_harvest_uv, state.p_harvest_nw, 0)) is not mode:
         mode = stepped
-    if mode.mode is _WAKE_UP and not cold_start(cfg, state.v_harvest_uv, state.p_harvest_nw):
-        mode = PmicMode.deep_sleep()
+    if mode is _WAKE_UP and not cold_start(cfg, state.v_harvest_uv, state.p_harvest_nw):
+        mode = _DEEP_SLEEP
     state.mode = mode
 
 
@@ -597,7 +594,7 @@ def run(scenario: Scenario) -> Report:
     state = _State(scenario)
     _set_lux(state, scenario.light_timeline[0][1])
     _settle_initial_mode(state)
-    state.trace.append(TraceRecord(0, "init", state.mode.mode.value, state.latch.set, state.v_store_uv(),
+    state.trace.append(TraceRecord(0, "init", state.mode.value, state.latch_set, state.v_store_uv(),
                                    state.e_store_nj, "settled_from_initial_conditions"))
     # The first timeline entry is already in force before settling; only
     # actual changes become events.
@@ -659,7 +656,7 @@ def _finalize(state: _State) -> Report:
         e_store_final=Energy(e_final),
         final_soc=e_final / state.e_capacity_nj,
         final_voltage=Voltage(state.v_store_uv()),
-        final_mode=state.mode.mode.value,
+        final_mode=state.mode.value,
         mode_residency=tuple((mode.value, Duration(us)) for mode, us in state.time_in_mode.items()),
         cycles=tuple(state.cycles),
         cycles_completed=state.cycles_completed,

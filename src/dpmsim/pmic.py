@@ -14,7 +14,8 @@ voltage in whole microvolts, a rising exit holds once v >= uv and a
 falling one once v < uv. So a store exactly on v_chrdy or v_ovch is in
 the higher mode, and one exactly on v_ovch - hysteresis has left
 Overcharge. DeepSleep leaves only by cold start, which reads the
-harvester; Shutdown also ends in DeepSleep when its grace window runs out.
+harvester; Shutdown also ends in DeepSleep once its grace window, counted
+from the instant it was entered, runs out.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .quantities import Duration, Power, TimePoint, Voltage
+from .quantities import Duration, Power, Voltage
 
 
 class Mode(enum.Enum):
@@ -38,38 +39,6 @@ class Mode(enum.Enum):
 # Enum member lookups go through the enum metaclass; the per-event paths
 # compare against these module-level names instead.
 _DEEP_SLEEP, _WAKE_UP, _NORMAL, _OVERCHARGE, _SHUTDOWN = Mode
-
-
-@dataclass(frozen=True)
-class PmicMode:
-    """Current mode; Shutdown always carries its grace deadline."""
-
-    mode: Mode
-    grace_deadline: TimePoint | None = None
-
-    def __post_init__(self) -> None:
-        if (self.mode is Mode.SHUTDOWN) != (self.grace_deadline is not None):
-            raise ValueError("grace_deadline is carried by Shutdown and only Shutdown")
-
-    @classmethod
-    def deep_sleep(cls) -> "PmicMode":
-        return cls(Mode.DEEP_SLEEP)
-
-    @classmethod
-    def wake_up(cls) -> "PmicMode":
-        return cls(Mode.WAKE_UP)
-
-    @classmethod
-    def normal(cls) -> "PmicMode":
-        return cls(Mode.NORMAL)
-
-    @classmethod
-    def overcharge(cls) -> "PmicMode":
-        return cls(Mode.OVERCHARGE)
-
-    @classmethod
-    def shutdown(cls, deadline: TimePoint) -> "PmicMode":
-        return cls(Mode.SHUTDOWN, deadline)
 
 
 class Exit(NamedTuple):
@@ -135,18 +104,18 @@ def cold_start(cfg: PmicConfig, v_harvester_uv: int, p_harvester_nw: float) -> b
 
 
 def step_mode(
-    current: PmicMode, cfg: PmicConfig, v_store_uv: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int
-) -> PmicMode:
+    mode: Mode, entered_us: int, cfg: PmicConfig,
+    v_store_uv: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int,
+) -> Mode:
     """Apply at most one mode transition and return the new mode.
 
-    Inputs are plain numbers: store and harvester voltage in uV,
-    harvester power in nW, the clock in us. Returns ``current`` itself
-    when no guard fires. The guards out of any one mode are mutually
-    exclusive; callers that need multi-step settling (e.g. WakeUp
-    immediately followed by Normal when the store is already charged)
-    re-invoke this per step.
+    Inputs are plain numbers: the time the current mode was entered and
+    the clock in us, store and harvester voltage in uV, harvester power
+    in nW. Returns ``mode`` itself when no guard fires. The guards out
+    of any one mode are mutually exclusive; callers that need multi-step
+    settling (e.g. WakeUp immediately followed by Normal when the store
+    is already charged) re-invoke this per step.
     """
-    mode = current.mode
     fired = None
     for exit in cfg.exits[mode]:
         if exit.holds(v_store_uv):
@@ -154,17 +123,15 @@ def step_mode(
                 raise RuntimeError(f"guard exclusivity violated from {mode}: {[fired.label, exit.label]}")
             fired = exit
     if fired is not None:
-        if fired.to is _SHUTDOWN:
-            return PmicMode.shutdown(TimePoint(now_us + cfg.grace_window.us))
-        return PmicMode(fired.to)
+        return fired.to
     if mode is _DEEP_SLEEP:
         if cold_start(cfg, v_harvester_uv, p_harvester_nw):
-            return PmicMode.wake_up()
-    elif mode is _SHUTDOWN and now_us >= current.grace_deadline.us:
+            return _WAKE_UP
+    elif mode is _SHUTDOWN and now_us - entered_us >= cfg.grace_window.us:
         # Recovery by chrdy_up wins at the boundary instant: the table
         # is read first.
-        return PmicMode.deep_sleep()
-    return current
+        return _DEEP_SLEEP
+    return mode
 
 
 def stage2(mode: Mode, latch_set: bool) -> bool:

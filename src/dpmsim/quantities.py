@@ -69,11 +69,6 @@ class TimePoint:
     def zero(cls) -> "TimePoint":
         return cls(0)
 
-    def __add__(self, other: Duration) -> "TimePoint":
-        if not isinstance(other, Duration):
-            return NotImplemented
-        return TimePoint(self.us + other.us)
-
 
 @dataclass(frozen=True, order=True)
 class Voltage:

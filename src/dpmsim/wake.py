@@ -1,39 +1,18 @@
-"""Wake-source latch and wake trigger bookkeeping.
+"""Wake trigger configuration: the RTC alarm stream and scripted touches.
 
-A touch press or an RTC alarm sets a hardware latch; the compute domain
-stays powered for as long as the latch is set, and software clears it
-once its work is done. Over I2C or a dedicated disable line, a clear has
-the same effect: LatchState.cleared(t). Setting the latch costs nothing:
-the always-on drain is the same whether the latch is set or clear.
+A touch press or an RTC alarm sets a one-bit hardware latch; the compute
+domain stays powered for as long as the latch is set, and software
+clears it once its work is done. The engine holds that bit as a plain
+bool and names each trigger in the trace (latch_set=rtc, latch_set=touch).
+Setting the latch costs nothing: the always-on drain is the same whether
+the latch is set or clear.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .quantities import Duration, TimePoint
-
-
-class WakeSource(enum.Enum):
-    NONE = "none"
-    TOUCH = "touch"
-    RTC = "rtc"
-
-
-@dataclass(frozen=True)
-class LatchState:
-    set: bool
-    wake_source: WakeSource
-    last_change: TimePoint
-
-    def __post_init__(self) -> None:
-        if not self.set and self.wake_source is not WakeSource.NONE:
-            raise ValueError("a clear latch cannot carry a wake source")
-
-    @classmethod
-    def cleared(cls, at: TimePoint = TimePoint.zero()) -> "LatchState":
-        return cls(False, WakeSource.NONE, at)
 
 
 @dataclass(frozen=True)
@@ -64,18 +43,3 @@ class TouchScript:
         for a, b in zip(self.press_times, self.press_times[1:]):
             if b <= a:
                 raise ValueError(f"touch press times must be strictly increasing ({a.us} -> {b.us})")
-
-
-def on_touch(latch: LatchState, t: TimePoint) -> LatchState:
-    """Set the latch from a touch press; latest trigger owns the source."""
-    if t < latch.last_change:
-        raise RuntimeError(f"touch at {t.us} us precedes last latch change {latch.last_change.us} us")
-    return LatchState(True, WakeSource.TOUCH, t)
-
-
-def on_rtc_alarm(latch: LatchState, t: TimePoint, rtc: RtcConfig) -> tuple[LatchState, TimePoint]:
-    """Set the latch from an alarm and return the next scheduled alarm."""
-    if t < latch.last_change:
-        raise RuntimeError(f"alarm at {t.us} us precedes last latch change {latch.last_change.us} us")
-    return LatchState(True, WakeSource.RTC, t), t + rtc.alarm_period
-

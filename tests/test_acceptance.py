@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import random
-
 import pytest
 
 from dpmsim.analysis import compare_dpm
 from dpmsim.energy import AlwaysOnBudget, always_on_power, cycle_energy, soc_at_voltage
 from dpmsim.engine import format_trace, run
 from dpmsim.oracle import compare_with_engine, run_oracle
-from dpmsim.pmic import Mode, PmicMode, stage2, step_mode
-from dpmsim.quantities import Current, Duration, Energy, TimePoint, Voltage, energy_of, power_of
+from dpmsim.pmic import Mode, stage2, step_mode
+from dpmsim.quantities import Current, Duration, Energy, Voltage, energy_of, power_of
 from dpmsim.report import report_dict
 from dpmsim.scenario import with_constant_light
-from dpmsim.wake import LatchState, RtcConfig, WakeSource, on_rtc_alarm, on_touch
 from scenario_gen import random_scenario, with_initial_soc
 
 
@@ -96,88 +93,74 @@ def test_c06_mode_machine_grid_sweep(case_study):
     cfg = case_study.pmic
     exit_uv = cfg.v_ovch.uv - cfg.v_ovch_hysteresis.uv
     harvester_states = ((0, 0.0), (300_000, 1_000.0), (1_200_000, 50_000.0))  # (uV, nW)
-    deadline = TimePoint(500_000)
-    modes = (
-        PmicMode.deep_sleep(),
-        PmicMode.wake_up(),
-        PmicMode.normal(),
-        PmicMode.overcharge(),
-        PmicMode.shutdown(deadline),
-    )
     violations: list[str] = []
     checked = 0
     for v_uv in range(0, cfg.v_ovch.uv + 100_001, 1000):
         for v_h, p_h in harvester_states:
             for latch in (False, True):
-                for now_us in (0, 500_000, 500_001):
+                # Every mode is entered at 0; the clock reads before, at
+                # the last us of and at the end of a 600 ms grace window.
+                for now_us in (0, 599_999, 600_000):
                     inputs = (v_uv, v_h, p_h, now_us)
-                    for mode in modes:
+                    for mode in Mode:
                         checked += 1
                         try:
                             # Raises exactly when more than one guard fires.
-                            new = step_mode(mode, cfg, *inputs)
+                            new = step_mode(mode, 0, cfg, *inputs)
                         except RuntimeError as exc:
-                            violations.append(f"exclusivity {mode.mode} {v_uv} {exc}")
+                            violations.append(f"exclusivity {mode} {v_uv} {exc}")
                             continue
-                        if mode.mode is Mode.OVERCHARGE:
+                        if mode is Mode.OVERCHARGE:
                             should_exit = v_uv <= exit_uv
-                            if should_exit != (new.mode is Mode.NORMAL):
-                                violations.append(f"hysteresis exit {v_uv} -> {new.mode}")
-                        if mode.mode is Mode.NORMAL and v_uv >= cfg.v_ovch.uv:
-                            if new.mode is not Mode.OVERCHARGE:
-                                violations.append(f"hysteresis entry {v_uv} -> {new.mode}")
-                        if mode.mode is Mode.NORMAL and new.mode is Mode.SHUTDOWN:
-                            if new.grace_deadline != TimePoint(now_us + 600_000):
-                                violations.append(f"grace deadline {new.grace_deadline}")
-                        if mode.mode is Mode.SHUTDOWN:
-                            expired = new.mode is Mode.DEEP_SLEEP
-                            should = v_uv < cfg.v_chrdy.uv and now_us >= deadline.us
+                            if should_exit != (new is Mode.NORMAL):
+                                violations.append(f"hysteresis exit {v_uv} -> {new}")
+                        if mode is Mode.NORMAL and v_uv >= cfg.v_ovch.uv:
+                            if new is not Mode.OVERCHARGE:
+                                violations.append(f"hysteresis entry {v_uv} -> {new}")
+                        if mode is Mode.SHUTDOWN:
+                            expired = new is Mode.DEEP_SLEEP
+                            should = v_uv < cfg.v_chrdy.uv and now_us >= 600_000
                             if expired != should:
-                                violations.append(f"grace expiry {v_uv} {now_us} -> {new.mode}")
-                        if stage2(new.mode, latch) != (
-                            latch and new.mode in (Mode.NORMAL, Mode.OVERCHARGE)
-                        ):
-                            violations.append(f"rail chain {new.mode} latch={latch}")
+                                violations.append(f"grace expiry {v_uv} {now_us} -> {new}")
+                        if stage2(new, latch) != (latch and new in (Mode.NORMAL, Mode.OVERCHARGE)):
+                            violations.append(f"rail chain {new} latch={latch}")
     assert violations == []
     print(f"c06 grid sweep: {checked} states, 0 violations")
 
 
 def test_c07_latch_invariants_over_random_events():
-    """Across >=10^4 random trigger/clear events the latch never drops a
-    set state on its own, always names the latest trigger as the wake
-    source, and ignores clears issued while the compute rail is down."""
-    rng = random.Random(0x1A7C)
-    rtc = RtcConfig()
-    latch = LatchState.cleared()
-    modes = tuple(Mode)
-    expected_source = WakeSource.NONE
-    now = 0
-    events = 30_000
-    clears_applied = clears_skipped = 0
-    for _ in range(events):
-        now += rng.randint(0, 5_000_000)
-        t = TimePoint(now)
-        kind = rng.choice(("touch", "alarm", "clear"))
-        if kind == "touch":
-            latch = on_touch(latch, t)
-            expected_source = WakeSource.TOUCH
-        elif kind == "alarm":
-            latch, _ = on_rtc_alarm(latch, t, rtc)
-            expected_source = WakeSource.RTC
-        else:
-            mode = rng.choice(modes)
-            if stage2(mode, latch.set):
-                latch = LatchState.cleared(t)
-                expected_source = WakeSource.NONE
-                clears_applied += 1
-            else:
-                clears_skipped += 1
-        assert latch.set == (expected_source is not WakeSource.NONE)
-        assert latch.wake_source is expected_source
-    assert events >= 10_000
-    assert clears_applied > 0 and clears_skipped > 0
-    print(f"c07 latch stream: {events} events,"
-          f" {clears_applied} clears applied, {clears_skipped} blocked")
+    """Across the traces of 450 generated scenarios (>=10^4 trigger and
+    clear events) a trigger sets the latch exactly when the rail is up,
+    the latch drops only by a clear or with the rail, and a clear applies
+    exactly when the compute rail is up."""
+    triggers = unpowered = clears = lost = 0
+    for seed in range(450):
+        trace = run(random_scenario(seed)).trace
+        for prev, rec in zip(trace, trace[1:]):
+            notes = rec.note.split(";")
+            if rec.kind in ("rtc_alarm", "touch_press"):
+                triggers += 1
+                if prev.mode == "deep_sleep":
+                    unpowered += 1
+                    assert "ignored_unpowered" in notes and not rec.latch_set, (seed, rec)
+                else:
+                    source = "rtc" if rec.kind == "rtc_alarm" else "touch"
+                    assert f"latch_set={source}" in notes, (seed, rec)
+                    assert rec.latch_set or "latch_lost_power" in notes, (seed, rec)
+            elif not prev.latch_set:
+                assert not rec.latch_set, (seed, rec)
+            if prev.latch_set and not rec.latch_set:
+                assert "latch_cleared" in notes or "latch_lost_power" in notes, (seed, rec)
+                lost += "latch_lost_power" in notes
+            if rec.kind == "mcu_clear_latch":
+                clears += 1
+                applies = stage2(Mode(prev.mode), prev.latch_set)
+                assert ("latch_cleared" in notes) == applies, (seed, rec)
+                assert ("clear_skipped_unpowered" in notes) != applies, (seed, rec)
+    assert triggers + clears >= 10_000
+    assert unpowered > 0 and lost > 0
+    print(f"c07 latch over engine traces: {triggers} triggers ({unpowered} unpowered),"
+          f" {clears} clears, {lost} lost with the rail")
 
 
 def test_c08_engine_matches_fixed_step_integrator():

@@ -15,6 +15,7 @@ from hypothesis import strategies as hyp
 from dpmsim.engine import (
     _COLD_START,
     _DEPLETED,
+    _MCU_CLEAR_LATCH,
     _THRESHOLD_CROSS,
     SimulationError,
     _advance_to,
@@ -30,10 +31,9 @@ from dpmsim.engine import (
     run,
 )
 from dpmsim.energy import _integrate, _soc_at_uv
-from dpmsim.pmic import Exit, Mode, PmicConfig, PmicMode, step_mode
+from dpmsim.pmic import Exit, Mode, PmicConfig, step_mode
 from dpmsim.quantities import Duration, Energy, Illuminance, TimePoint
 from dpmsim.scenario import parse_scenario, with_constant_light
-from dpmsim.wake import LatchState, on_touch
 from scenario_gen import random_scenario, with_initial_soc
 
 ZERO_IDLE = """
@@ -70,9 +70,9 @@ def _exit(st: _State, label: str) -> Exit:
 
 def test_crossing_none_when_power_points_away():
     st = _state()
-    st.mode = PmicMode.deep_sleep()  # power split is all zero here
+    st.mode = Mode.DEEP_SLEEP  # power split is all zero here
     assert find_threshold_crossing(st, _exit(st, "ovch_up")) is None
-    st.mode = PmicMode.wake_up()  # dark, zero idle: p_net is exactly 0
+    st.mode = Mode.WAKE_UP  # dark, zero idle: p_net is exactly 0
     st.e_store_nj = 1e6  # just above empty
     assert find_threshold_crossing(st, _exit(st, "chrdy_up")) is None
     assert find_threshold_crossing(st, _DEPLETED) is None
@@ -80,7 +80,7 @@ def test_crossing_none_when_power_points_away():
 
 def test_crossing_already_satisfied_returns_now():
     st = _state()
-    st.mode = PmicMode.normal()
+    st.mode = Mode.NORMAL
     st.now = 777
     # soc 0.5 sits at 3.867 V, above the charge-ready target.
     assert find_threshold_crossing(st, _exit(st, "chrdy_up")) == 777
@@ -94,7 +94,7 @@ def _guard_holds(st: _State, exit: Exit, t: int) -> bool:
 def test_crossing_charge_time_is_energy_over_power():
     st = _state()
     _set_lux(st, Illuminance(1.0))  # 1000 nW in, nothing out
-    st.mode = PmicMode.wake_up()
+    st.mode = Mode.WAKE_UP
     e_target = 0.05 * st.e_capacity_nj  # 3.3 V on the default curve
     st.e_store_nj = e_target - 1e6
     chrdy_up = _exit(st, "chrdy_up")
@@ -110,7 +110,7 @@ def test_crossing_charge_time_is_energy_over_power():
 def test_crossing_overcharge_exit_lands_on_its_onset(case_study):
     st = _State(case_study)
     _set_lux(st, Illuminance(200.0))
-    st.mode = PmicMode.overcharge()
+    st.mode = Mode.OVERCHARGE
     st.active_step = st.steps[0]  # sensor_sample drains ~733 uW
     ovch_down = _exit(st, "ovch_down")
     # round(v) < T holds below T - 0.5 uV, which is v_ovch - hysteresis
@@ -124,15 +124,11 @@ def test_crossing_overcharge_exit_lands_on_its_onset(case_study):
     assert not _guard_holds(st, ovch_down, t - 1)
 
 
-# Every (mode, exit) pair of the table; Shutdown's grace runs out far later.
-MODE_EXITS = [
-    (PmicMode(mode, TimePoint(10**15) if mode is Mode.SHUTDOWN else None), e.label)
-    for mode, exits in PmicConfig().exits.items()
-    for e in exits
-]
+# Every (mode, exit) pair of the table.
+MODE_EXITS = [(mode, e.label) for mode, exits in PmicConfig().exits.items() for e in exits]
 
 
-@pytest.mark.parametrize(("mode", "label"), MODE_EXITS, ids=[f"{m.mode.value}-{lb}" for m, lb in MODE_EXITS])
+@pytest.mark.parametrize(("mode", "label"), MODE_EXITS, ids=[f"{m.value}-{lb}" for m, lb in MODE_EXITS])
 @given(gap_uv=hyp.floats(0.6, 5_000.0), log_p_nw=hyp.floats(3.0, 8.0))
 def test_step_mode_leaves_by_the_solved_crossing(case_study, mode, label, gap_uv, log_p_nw):
     """The solved microsecond is where step_mode first takes the exit.
@@ -142,7 +138,9 @@ def test_step_mode_leaves_by_the_solved_crossing(case_study, mode, label, gap_uv
     solved t and not at t - 2: t - 1 can still hold, because ceil over a
     float quotient may land one us past an onset that sits on a us
     boundary. Below ~1 uW near a full store, one us of charge is under
-    one ulp of the stored energy, so the power range stops there.
+    one ulp of the stored energy, so the power range stops there. Each
+    reading enters the mode at the instant it reads, so Shutdown's grace
+    window never runs out under it.
     """
     st = _State(case_study)
     st.mode = mode
@@ -157,23 +155,23 @@ def test_step_mode_leaves_by_the_solved_crossing(case_study, mode, label, gap_uv
     def mode_at(t_us: int) -> Mode:
         e_nj = _integrate(st.e_store_nj, st.e_capacity_nj, st.net_nw(), t_us)[0]
         v_uv = round(st.v_store_float(e_nj))
-        return step_mode(mode, case_study.pmic, v_uv, 0, 0.0, t_us).mode
+        return step_mode(mode, t_us, case_study.pmic, v_uv, 0, 0.0, t_us)
 
     assert mode_at(t) is exit.to
-    assert mode_at(t - 2) is mode.mode
+    assert mode_at(t - 2) is mode
 
 
 def test_crossing_depletion_time_is_exact():
     doc = ZERO_IDLE.replace("i_pmic: 0nA", "i_pmic: 1000nA")
     st = _state(doc)
-    st.mode = PmicMode.wake_up()  # dark: drains at exactly 1000 nW
+    st.mode = Mode.WAKE_UP  # dark: drains at exactly 1000 nW
     st.e_store_nj = 1_000_000.0
     assert find_threshold_crossing(st, _DEPLETED) == 1_000_000_000
 
 
 def test_crossing_target_outside_curve_is_rejected():
     st = _state()
-    st.mode = PmicMode.normal()
+    st.mode = Mode.NORMAL
     with pytest.raises(ValueError):
         find_threshold_crossing(st, Exit("chrdy_up", 2_000_000, True, Mode.NORMAL))
 
@@ -193,11 +191,11 @@ def test_advance_to_rejects_time_running_backwards():
 
 def test_step_running_without_stage2_breaks_an_invariant():
     st = _state()
-    st.mode = PmicMode.normal()
-    st.latch = on_touch(st.latch, TimePoint(0))
+    st.mode = Mode.NORMAL
+    st.latch_set = True
     st.active_step = _Step("probe", 1_000.0, 1_000)
     _check_invariants(st)  # Stage2 holds: a running step is fine
-    st.latch = LatchState.cleared(TimePoint(0))
+    st.latch_set = False
     with pytest.raises(SimulationError, match="without Stage2"):
         _check_invariants(st)
 
@@ -410,11 +408,26 @@ def test_an_overflowing_ledger_fails_the_run(case_study):
 def test_a_crossing_dispatched_off_its_onset_raises(case_study):
     st = _State(case_study)
     _set_lux(st, Illuminance(200.0))  # ~42 uW net: far under 1 uV per us
-    st.mode = PmicMode.normal()
+    st.mode = Mode.NORMAL
     ovch_up = _exit(st, "ovch_up")
     st.e_store_nj = _soc_at_uv(st.ocv_segments, ovch_up.uv - 5) * st.e_capacity_nj
     with pytest.raises(SimulationError, match="dispatched 5 uV off target"):
         _dispatch(st, 0, _THRESHOLD_CROSS, st.threshold_gen, ovch_up)
+
+
+def test_a_clear_without_stage2_power_leaves_the_latch_set(case_study):
+    # Shutdown keeps the latch logic up but not the compute rail, so a
+    # clear issued in it is lost and the latch stays set.
+    st = _State(case_study)
+    st.mode = Mode.SHUTDOWN
+    st.latch_set = True
+    st.e_store_nj = _soc_at_uv(st.ocv_segments, case_study.pmic.v_chrdy.uv - 1_000) * st.e_capacity_nj
+    assert _dispatch(st, 0, _MCU_CLEAR_LATCH, 0, None)
+    assert st.mode is Mode.SHUTDOWN and st.latch_set
+    rec = st.trace[-1]
+    assert (rec.kind, rec.mode, rec.latch_set) == ("mcu_clear_latch", "shutdown", True)
+    assert rec.note == "clear_skipped_unpowered"
+    assert [a.code for a in st.anomalies] == ["clear_skipped_unpowered"]
 
 
 def test_marginal_light_recovers_from_shutdown_by_crossing(case_study):
