@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad input (parse or validation failures,
-unusable sweep brackets), 2 a run that started but broke an engine
-contract or failed cross-validation.
+Exit codes: 0 success, 1 bad input (unreadable or unwritable files,
+parse or validation failures, unusable sweep brackets), 2 a run that
+started but broke an engine contract or failed cross-validation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .scenario import ScenarioError, parse_quantity, parse_scenario
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     try:
@@ -32,11 +32,16 @@ def _load(path: str):
         return None
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text: str, out: str | None) -> bool:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -46,9 +51,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     for w in scenario.warnings:
         print(f"warning: {w}", file=sys.stderr)
     report = run(scenario)
-    _write_out(emit_report(report, args.format), args.out)
-    if args.trace is not None:
-        Path(args.trace).write_text(format_trace(report), encoding="utf-8")
+    if not _write_out(emit_report(report, args.format), args.out):
+        return 1
+    if args.trace is not None and not _write_out(format_trace(report), args.trace):
+        return 1
     return 0
 
 

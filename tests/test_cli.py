@@ -50,6 +50,24 @@ def test_run_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_run_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.scenario"
+    bad.write_bytes(b"name: n\xe9ud\n")  # Latin-1, not UTF-8
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_run_reports_an_unwritable_output(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "out.txt"
+    assert main(["run", CASE_STUDY, flag, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_run_rejects_broken_document(tmp_path, capsys):
     bad = tmp_path / "bad.scenario"
     bad.write_text("schema_version: 2\n")
