@@ -104,6 +104,11 @@ def compare_dpm(report_a: Report, report_b: Report) -> ComparisonReport:
 
     i_hw = hw.scenario.always_on.total_current
     i_sw = sw.scenario.dpm_variant.i_sleep
+    # The idle ratio and both lifetimes divide by these drains.
+    if i_hw.na == 0:
+        raise ComparisonError("hardware-gated twin has no idle drain: every always_on current is 0 nA")
+    if i_sw.na == 0:
+        raise ComparisonError("software-sleep twin has no idle drain: dpm_variant.i_sleep is 0 nA")
     p_hw = idle_power(hw.scenario)
     p_sw = idle_power(sw.scenario)
     idle_ratio = i_sw.na / i_hw.na

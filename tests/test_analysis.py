@@ -8,6 +8,7 @@ import pytest
 
 import dpmsim.analysis as analysis
 from dpmsim.analysis import ComparisonError, SweepError, compare_dpm, sweep_lux
+from dpmsim.energy import AlwaysOnBudget
 from dpmsim.engine import format_trace, run
 from dpmsim.quantities import Current, Illuminance
 from dpmsim.report import report_dict
@@ -85,6 +86,20 @@ class TestCompareDpm:
         relit = run(with_constant_light(case_study_sw, 100.0))
         with pytest.raises(ComparisonError, match="differing fields: light_timeline$"):
             compare_dpm(hw_report, relit)
+
+    def test_rejects_a_hardware_twin_without_idle_drain(self, case_study, case_study_sw):
+        # Both twins share always_on; only the hardware run idles on it.
+        silent = AlwaysOnBudget(i_pmic=Current(0), i_rtc=Current(0), i_touch=Current(0), i_extra_leakage=Current(0))
+        hw = run(dataclasses.replace(case_study, always_on=silent))
+        sw = run(dataclasses.replace(case_study_sw, always_on=silent))
+        with pytest.raises(ComparisonError, match="always_on"):
+            compare_dpm(hw, sw)
+
+    def test_rejects_a_software_twin_without_idle_drain(self, hw_report, case_study_sw):
+        variant = DpmVariant(kind=VariantKind.SOFTWARE_SLEEP, i_sleep=Current(0))
+        sw = run(dataclasses.replace(case_study_sw, dpm_variant=variant))
+        with pytest.raises(ComparisonError, match=r"dpm_variant\.i_sleep"):
+            compare_dpm(hw_report, sw)
 
     def test_text_rendering(self, hw_report, sw_report):
         text = compare_dpm(hw_report, sw_report).text()
