@@ -12,6 +12,15 @@ Grid restriction: every externally scheduled time in the scenario
 (alarms, touches, light changes, step durations, the grace window, the
 run length) must sit on the timestep grid, otherwise the two routes
 would disagree for boring reasons.
+
+Grid condition: one tick can overshoot a threshold by |p_drain| * dt,
+which the store wins back at p_net. How a Shutdown ends is only
+resolved when that overshoot time, |p_drain| * dt / p_net, is well
+under the grace window: then Shutdown ends by a crossing, as in the
+engine; otherwise the grid lets the grace run out first. Near the
+idle breakeven (~733 uW drain against ~48 nW net) it is ~150 ms at a
+10 us step, under the 600 ms window, and ~15 s at 1 ms, so the 1 ms
+grid drops to deep_sleep where the engine recovers.
 """
 
 from __future__ import annotations
