@@ -8,6 +8,17 @@ the two routes is what the validation suite asserts; for that reason
 this module must not import from the engine's numerical helpers, and
 duplicating small pieces of arithmetic here is intentional.
 
+Ticks are applied in runs. Between two slow-path instants the per-tick
+increments are constant, so the loop takes the largest run of ticks in
+which no check can fire and no increment can clamp (capped by the next
+scheduled instant, the Shutdown deadline, the run length, and two ticks
+short of the mode's energy guard in the direction the store moves) and
+applies it as one multiplied increment. Guards are still tested only at
+grid instants, the ticks next to a guard are still stepped one at a
+time, and `ticks` still counts grid steps. A multiplied increment does
+not accumulate the summation drift a per-tick sum picks up over long
+runs, which on fine grids can put a crossing many ticks late.
+
 Grid restriction: every externally scheduled time in the scenario
 (alarms, touches, light changes, step durations, the grace window, the
 run length) must sit on the timestep grid, otherwise the two routes
@@ -63,9 +74,11 @@ def _require_grid(us: int, dt: int, what: str) -> None:
 
 
 class _Oracle:
-    """One integration run; hot state lives in run()'s locals."""
+    """One integration run; hot state lives in run_oracle()'s locals."""
 
     def __init__(self, scenario: Scenario, dt: int):
+        if dt <= 0:
+            raise OracleError("timestep must be positive")
         self.scenario = scenario
         self.dt = dt
         s = scenario
@@ -326,29 +339,60 @@ class _Oracle:
                 self._sync_stage2(t, stage2)
         self._refresh_ticks()
 
+    # -- the run's two ends ----------------------------------------------
+
+    def open(self) -> None:
+        """Set the opening mode and per-tick increments at t = 0."""
+        # The opening mode follows straight from the initial conditions,
+        # mirroring the engine: a store that is already charged boots the
+        # node regardless of light.
+        self.lux = self.lights[0][1]
+        self.li = 1
+        self.h_nw = self._harvest_nw(self.lux)
+        self.v_harv_uv = self.v_oc_uv if self.lux > 0.0 else 0.0
+        if self.e >= self.e_ovch:
+            self.mode = _OVERCHARGE
+        elif self.e >= self.e_chrdy:
+            self.mode = _NORMAL
+        elif self.v_harv_uv >= self.cold_v_uv and self.h_nw >= self.cold_p_nw:
+            self.mode = _WAKE_UP
+        else:
+            self.mode = _DEEP_SLEEP
+        self.transitions = [(0, _MODE_NAMES[self.mode])]
+        self._refresh_ticks()
+
+    def result(self, ticks: int, powered_ticks: int) -> OracleResult:
+        """Close the run at its duration; the hot loop has written back e
+        and the three ledgers."""
+        duration = self.scenario.duration.us
+        # Triggers scheduled exactly at the end still fire before the report.
+        self._slow(duration)
+        if self.active:
+            self._charge_step(duration)
+
+        dt = self.dt
+        components: dict[str, float] = {"always_on": self.idle_nw * powered_ticks * dt / 1e6}
+        for name, nj in zip(self.step_names, self.step_consumed):
+            components[name] = components.get(name, 0.0) + nj
+
+        return OracleResult(
+            timestep_us=dt,
+            ticks=ticks,
+            final_e_store=Energy(self.e),
+            final_mode=_MODE_NAMES[self.mode],
+            transitions=tuple(self.transitions),
+            e_harvested=Energy(self.harvested),
+            e_consumed=Energy(self.consumed),
+            e_consumed_by_component=tuple(
+                (name, Energy(nj)) for name, nj in components.items()),
+            e_discarded=Energy(self.discarded),
+            cycles_completed=self.cycles,
+        )
+
 
 def run_oracle(scenario: Scenario, timestep: Duration = Duration(1000)) -> OracleResult:
-    if timestep.us <= 0:
-        raise OracleError("timestep must be positive")
     o = _Oracle(scenario, timestep.us)
-
-    # The opening mode follows straight from the initial conditions,
-    # mirroring the engine: a store that is already charged boots the
-    # node regardless of light.
-    o.lux = o.lights[0][1]
-    o.li = 1
-    o.h_nw = o._harvest_nw(o.lux)
-    o.v_harv_uv = o.v_oc_uv if o.lux > 0.0 else 0.0
-    if o.e >= o.e_ovch:
-        o.mode = _OVERCHARGE
-    elif o.e >= o.e_chrdy:
-        o.mode = _NORMAL
-    elif o.v_harv_uv >= o.cold_v_uv and o.h_nw >= o.cold_p_nw:
-        o.mode = _WAKE_UP
-    else:
-        o.mode = _DEEP_SLEEP
-    o.transitions = [(0, _MODE_NAMES[o.mode])]
-    o._refresh_ticks()
+    o.open()
 
     dt = o.dt
     duration = o.scenario.duration.us
@@ -388,6 +432,36 @@ def run_oracle(scenario: Scenario, timestep: Duration = Duration(1000)) -> Oracl
             p_net, h_tick, c_tick, disc_tick = o.p_net_tick, o.h_tick, o.c_tick, o.disc_tick
             next_event = o.next_event_t
             harvested, consumed, discarded = o.harvested, o.consumed, o.discarded
+        else:
+            # No check fired at t, so k ticks from t can be applied at once
+            # when no check can fire at t + dt, ..., t + (k-1)*dt and no
+            # increment can clamp. An energy guard that e moves away from
+            # cannot fire; the one it moves towards caps k two ticks short
+            # of the exact bound, and so do cap and 0.
+            until = min(next_event, duration)
+            if mode == _SHUTDOWN:
+                until = min(until, deadline)
+            k = (until - t + dt - 1) // dt
+            if mode and p_net != 0.0:
+                if p_net > 0.0:
+                    bound = e_ovch if mode == _NORMAL else e_chrdy
+                    room = (min(bound, cap) - e) / p_net
+                else:
+                    bound = (e_chrdy if mode == _NORMAL
+                             else e_exit if mode == _OVERCHARGE else 0.0)
+                    room = (e - max(bound, 0.0)) / -p_net
+                if room - 2.0 < k:
+                    k = int(room) - 2
+            if k > 1:
+                t += k * dt
+                ticks += k
+                if mode:
+                    powered_ticks += k
+                    e += k * p_net
+                    harvested += k * h_tick
+                    consumed += k * c_tick
+                    discarded += k * disc_tick
+                continue
 
         if mode:
             powered_ticks += 1
@@ -414,32 +488,11 @@ def run_oracle(scenario: Scenario, timestep: Duration = Duration(1000)) -> Oracl
         t += dt
         ticks += 1
 
-    # Triggers scheduled exactly at the end still fire before the report.
     o.e = e
     o.harvested = harvested
     o.consumed = consumed
     o.discarded = discarded
-    o._slow(duration)
-    if o.active:
-        o._charge_step(duration)
-
-    components: dict[str, float] = {"always_on": o.idle_nw * powered_ticks * dt / 1e6}
-    for name, nj in zip(o.step_names, o.step_consumed):
-        components[name] = components.get(name, 0.0) + nj
-
-    return OracleResult(
-        timestep_us=dt,
-        ticks=ticks,
-        final_e_store=Energy(o.e),
-        final_mode=_MODE_NAMES[o.mode],
-        transitions=tuple(o.transitions),
-        e_harvested=Energy(o.harvested),
-        e_consumed=Energy(o.consumed),
-        e_consumed_by_component=tuple(
-            (name, Energy(nj)) for name, nj in components.items()),
-        e_discarded=Energy(o.discarded),
-        cycles_completed=o.cycles,
-    )
+    return o.result(ticks, powered_ticks)
 
 
 # -- comparison glue ---------------------------------------------------

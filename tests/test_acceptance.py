@@ -1,4 +1,5 @@
-"""Acceptance gate: ten checks, one test (and one pass/fail line) each.
+"""Acceptance gate: ten checks, one test (and one pass/fail line) each,
+plus c08's companion on a 10 us grid.
 
 Every check pins a headline figure or behavioural guarantee of the
 simulator at an explicit tolerance. Run with -v to get the per-check
@@ -178,6 +179,21 @@ def test_c08_engine_matches_fixed_step_integrator():
         assert agr.e_store_rel_error <= 1e-3, (seed, agr.e_store_rel_error)
         worst_store = max(worst_store, agr.e_store_rel_error)
     print(f"c08 oracle equivalence: 20 scenarios, worst store rel {worst_store:.3e}")
+
+
+def test_c08_engine_matches_10us_integrator():
+    """c08's 20 scenarios on a 10 us grid: identical mode sequences and
+    final stored energy within rel 1e-3, as on the 1 ms grid."""
+    worst_store = 0.0
+    for seed in range(20):
+        scenario = random_scenario(seed)
+        report = run(scenario)
+        result = run_oracle(scenario, Duration(10))
+        agr = compare_with_engine(report, result)
+        assert agr.sequences_match, (seed, agr.engine_sequence, agr.oracle_sequence)
+        assert agr.e_store_rel_error <= 1e-3, (seed, agr.e_store_rel_error)
+        worst_store = max(worst_store, agr.e_store_rel_error)
+    print(f"c08 at 10 us: 20 scenarios, worst store rel {worst_store:.3e}")
 
 
 def test_c09_conservation_and_determinism(case_study, case_study_sw):
