@@ -8,6 +8,7 @@ energy neutral per wake cycle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 from .engine import Report, idle_power, run
@@ -179,10 +180,11 @@ def sweep_lux(
     bracket must straddle zero, except that a bound already sitting at
     zero is returned as the answer directly.
     """
-    if not (0.0 <= lo.lux < hi.lux):
-        raise SweepError("need 0 <= lo < hi")
-    if resolution <= 0.0:
-        raise SweepError("resolution must be positive")
+    # Comparisons are phrased so that a NaN fails them.
+    if not 0.0 <= lo.lux < hi.lux < math.inf:
+        raise SweepError(f"need 0 <= lo < hi, both finite; got lo={lo.lux}, hi={hi.lux}")
+    if not 0.0 < resolution < math.inf:
+        raise SweepError(f"resolution must be positive and finite, got {resolution}")
 
     probes: list[tuple[float, float]] = []
     net_lo = _probe_net(scenario, lo.lux)

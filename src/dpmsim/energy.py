@@ -9,9 +9,9 @@ what makes exact crossing prediction possible in the event engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .quantities import Current, Duration, Energy, Illuminance, Power, Voltage, energy_of, power_of
+from .quantities import Current, Duration, Energy, Fraction, Illuminance, Power, Voltage, energy_of, power_of
 
 # 1 mAh moves 3.6 coulombs; times nominal volts gives the energy equivalent.
 _JOULES_PER_MAH_VOLT = 3.6
@@ -24,10 +24,10 @@ class StorageElement:
     The defaults are the documented values a scenario file may omit.
     """
 
-    capacity_mah: float = 10.0
+    capacity_mah: float = field(default=10.0, metadata={"key": "capacity"})
     nominal_voltage: Voltage = Voltage.from_volts(3.7)
-    initial_soc: float = 0.5
-    ocv_curve: tuple[tuple[float, Voltage], ...] = (
+    initial_soc: Fraction = 0.5
+    ocv_curve: tuple[tuple[Fraction, Voltage], ...] = (
         (0.0, Voltage.from_volts(3.0)),
         (0.1, Voltage.from_volts(3.6)),
         (1.0, Voltage.from_volts(4.2)),
@@ -139,10 +139,10 @@ class HarvesterModel:
     minimum at any usable illuminance.
     """
 
-    calibration: tuple[tuple[Illuminance, Power], ...]
     v_open_circuit: Voltage = Voltage.from_volts(1.2)
+    calibration: tuple[tuple[Illuminance, Power], ...] = field(kw_only=True)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.calibration:
             raise ValueError("harvester calibration needs at least one point")
         prev_lux = 0.0
@@ -187,7 +187,7 @@ class AlwaysOnBudget:
     def total_current(self) -> Current:
         return self.i_pmic + self.i_rtc + self.i_touch + self.i_extra_leakage
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("i_pmic", "i_rtc", "i_touch", "i_extra_leakage"):
             if getattr(self, name).na < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -213,22 +213,13 @@ class LoadStep:
             return Power(0.0)
         return Power(self.energy.nj / self.duration.us * 1e6)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.duration.us < 0:
             raise ValueError(f"load step {self.name!r} has a negative duration")
         if self.energy.nj < 0:
             raise ValueError(f"load step {self.name!r} has negative energy")
         if self.duration.us == 0 and self.energy.nj > 0:
             raise ValueError(f"load step {self.name!r} draws energy over zero time")
-
-
-def validate_script(script: tuple[LoadStep, ...]) -> None:
-    seen: set[str] = set()
-    for step in script:
-        step.validate()
-        if step.name in seen:
-            raise ValueError(f"duplicate load step name {step.name!r}")
-        seen.add(step.name)
 
 
 def script_duration(script: tuple[LoadStep, ...]) -> Duration:

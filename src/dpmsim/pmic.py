@@ -21,7 +21,7 @@ from the instant it was entered, runs out.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -65,12 +65,12 @@ class PmicConfig:
 
     v_cold_start: Voltage = Voltage.from_millivolts(300)
     p_cold_start: Power = Power.from_microwatts(2.0)
-    v_chrdy: Voltage = Voltage.from_volts(3.0)
-    v_ovch: Voltage = Voltage.from_volts(3.6)
-    v_ovch_hysteresis: Voltage = Voltage.from_millivolts(50)
+    v_chrdy: Voltage = field(default=Voltage.from_volts(3.0), metadata={"flagged": True})
+    v_ovch: Voltage = field(default=Voltage.from_volts(3.6), metadata={"flagged": True})
+    v_ovch_hysteresis: Voltage = field(default=Voltage.from_millivolts(50), metadata={"flagged": True})
     grace_window: Duration = Duration.from_millis(600)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.v_chrdy >= self.v_ovch:
             raise ValueError(
                 f"v_chrdy ({self.v_chrdy.uv} uV) must be below v_ovch ({self.v_ovch.uv} uV)"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NewType
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
@@ -24,6 +25,11 @@ def _check_i64(value: int, what: str) -> int:
         shown = value if value.bit_length() < 10_000 else f"of {int(math.log10(abs(value))) + 1} digits"
         raise OverflowError(f"{what} {shown} does not fit in 64-bit signed range")
     return value
+
+
+# A dimensionless share in [0, 1], such as a state of charge. Scenario
+# sections annotate it apart from a bare float, which is a charge in mAh.
+Fraction = NewType("Fraction", float)
 
 
 @dataclass(frozen=True, order=True)

@@ -3,10 +3,13 @@
 A scenario is a YAML document with typed scalar fields. Dimensioned
 values are written with SI unit suffixes ("452nA", "2.2V", "10min") and
 normalised at parse time onto the simulator's internal grids; parsing
-goes through Decimal so that decimal literals land exactly. Validation
-reports the offending field path and source line, applies documented
-defaults for omitted fields, and flags the threshold defaults loudly
-because those are configuration choices, not measured values.
+goes through Decimal so that decimal literals land exactly.
+
+Each section is read and written from its dataclass's fields: the type
+annotation gives the value kind, a default makes a field optional, and
+metadata gives a file key other than the attribute ("key") or marks a
+default that warns ("flagged"). Every dataclass checks itself on
+construction; a parse refusal adds the field path and source line.
 
 emit_scenario writes a canonical form (fixed key order, base units)
 such that parse(emit(s)) == s.
@@ -15,17 +18,19 @@ such that parse(emit(s)) == s.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from decimal import Decimal, DecimalException
-from typing import Any
+from types import UnionType
+from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .energy import AlwaysOnBudget, HarvesterModel, LoadStep, StorageElement, validate_script
+from .energy import AlwaysOnBudget, HarvesterModel, LoadStep, StorageElement
 from .pmic import PmicConfig
-from .quantities import Current, Duration, Energy, Illuminance, Power, TimePoint, Voltage
+from .quantities import Current, Duration, Energy, Fraction, Illuminance, Power, TimePoint, Voltage
 from .wake import RtcConfig, TouchScript
 
 SCHEMA_VERSION = 1
@@ -35,9 +40,20 @@ class ScenarioError(ValueError):
     """A scenario file failed to parse or validate."""
 
 
+class _FieldError(ScenarioError):
+    """A refusal (path, message) of one field; path is relative to the refusing dataclass."""
+
+    def __str__(self) -> str:
+        return "{}: {}".format(*self.args)
+
+
 class VariantKind(enum.Enum):
     HARDWARE_GATED = "hardware_gated"
     SOFTWARE_SLEEP = "software_sleep"
+
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        raise ValueError("kind must be 'hardware_gated' or 'software_sleep'")
 
 
 @dataclass(frozen=True)
@@ -54,8 +70,10 @@ class DpmVariant:
     i_sleep: Current | None = None
 
     def __post_init__(self) -> None:
-        if (self.kind is VariantKind.SOFTWARE_SLEEP) != (self.i_sleep is not None):
-            raise ValueError("i_sleep is required for software_sleep and only software_sleep")
+        if self.kind is VariantKind.SOFTWARE_SLEEP and self.i_sleep is None:
+            raise _FieldError("kind", "software_sleep requires i_sleep")
+        if self.kind is VariantKind.HARDWARE_GATED and self.i_sleep is not None:
+            raise _FieldError("i_sleep", "i_sleep only applies to software_sleep")
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,32 @@ class Scenario:
     duration: Duration
     # Validation notes (defaults applied, flagged fields); not part of identity.
     warnings: tuple[str, ...] = field(default=(), compare=False)
+
+    def __post_init__(self) -> None:
+        """The checks across sections; each section has checked itself."""
+        names = [step.name for step in self.load_script]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise _FieldError(f"load_script[{i}]", f"duplicate load step name {name!r}")
+        if self.duration.us <= 0:
+            raise _FieldError("sim.duration", "must be positive")
+        chrdy, ovch = self.pmic.v_chrdy.uv, self.pmic.v_ovch.uv
+        empty, full = self.storage.v_empty.uv, self.storage.v_full.uv
+        if not empty < chrdy:
+            raise _FieldError("pmic.v_chrdy", f"{chrdy} uV must sit above the empty-store voltage ({empty} uV)")
+        if ovch > full:
+            raise _FieldError("pmic.v_ovch", f"{ovch} uV must sit within the OCV range (full = {full} uV)")
+        timeline = self.light_timeline
+        if not timeline:
+            raise _FieldError("light_timeline", "must contain at least one entry")
+        if timeline[0][0].us != 0:
+            raise _FieldError("light_timeline[0]", "must start at 0s")
+        for i, ((t0, _), (t1, _)) in enumerate(zip(timeline, timeline[1:]), 1):
+            if t1 <= t0:
+                raise _FieldError(f"light_timeline[{i}]", f"times must be strictly increasing ({t0.us} -> {t1.us})")
+        for i, (_, lux) in enumerate(timeline):
+            if lux.lux < 0:
+                raise _FieldError(f"light_timeline[{i}]", "illuminance cannot be negative")
 
 
 # --- quantity text ------------------------------------------------------
@@ -150,149 +194,233 @@ def quantity_text(q: Any) -> str:
 # --- YAML loading with source lines ------------------------------------
 
 
-@dataclass
-class _Node:
-    value: Any
-    line: int
-
-
-def _load_tree(text: str) -> _Node:
+def _load_tree(text: str, lines: dict[str, int]) -> Any:
     try:
         root = yaml.compose(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"not valid YAML: {exc}") from exc
     if root is None:
         raise ScenarioError("scenario document is empty")
-    constructor = yaml.SafeLoader("")
-    return _walk(root, constructor)
+    return _walk(root, yaml.SafeLoader(""), "", lines)
 
 
-def _walk(node: yaml.Node, constructor: yaml.SafeLoader) -> _Node:
-    line = node.start_mark.line + 1
+def _walk(node: yaml.Node, constructor: yaml.SafeLoader, path: str, lines: dict[str, int]) -> Any:
+    """The node as plain data; records each field path's source line in lines."""
+    lines[path] = node.start_mark.line + 1
     if isinstance(node, yaml.MappingNode):
-        mapping: dict[str, _Node] = {}
+        mapping: dict[str, Any] = {}
         for key_node, value_node in node.value:
             key = constructor.construct_object(key_node)
             if not isinstance(key, str):
                 raise ScenarioError(f"line {key_node.start_mark.line + 1}: mapping keys must be strings")
             if key in mapping:
                 raise ScenarioError(f"line {key_node.start_mark.line + 1}: duplicate key {key!r}")
-            mapping[key] = _walk(value_node, constructor)
-        return _Node(mapping, line)
+            mapping[key] = _walk(value_node, constructor, f"{path}.{key}" if path else key, lines)
+        return mapping
     if isinstance(node, yaml.SequenceNode):
-        return _Node([_walk(item, constructor) for item in node.value], line)
-    return _Node(constructor.construct_object(node), line)
+        return [_walk(item, constructor, f"{path}[{i}]", lines) for i, item in enumerate(node.value)]
+    return constructor.construct_object(node)
+
+
+_ABSENT = object()  # a key the document does not set
+_REQUIRED = object()  # the default of a field the document must set
 
 
 class _Section:
     """One mapping in the document, with field-path error reporting."""
 
-    def __init__(self, node: _Node | None, path: str):
+    def __init__(self, value: Any, path: str, lines: dict[str, int]):
         self.path = path
-        self.line = node.line if node is not None else 0
-        if node is None:
-            self.fields: dict[str, _Node] = {}
-        else:
-            if not isinstance(node.value, dict):
-                raise ScenarioError(f"{path} (line {node.line}): expected a mapping")
-            self.fields = node.value
+        self.lines = lines
+        if value is _ABSENT:
+            value = {}
+        elif not isinstance(value, dict):
+            raise ScenarioError(f"{self.where()}: expected a mapping")
+        self.fields: dict[str, Any] = value
         self.seen: set[str] = set()
 
     def sub(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def where(self, key: str) -> str:
-        node = self.fields.get(key)
-        suffix = f" (line {node.line})" if node is not None else ""
-        return f"{self.sub(key)}{suffix}"
+    def where(self, key: str | None = None) -> str:
+        """A field's path and source line; the section's own without a key."""
+        path = self.path if key is None else self.sub(key)
+        line = self.lines.get(path)
+        return f"{path or 'scenario document'}{f' (line {line})' if line else ''}"
 
-    def take(self, key: str) -> _Node | None:
+    def take(self, key: str) -> Any:
         self.seen.add(key)
-        return self.fields.get(key)
+        return self.fields.get(key, _ABSENT)
 
-    def scalar(self, key: str, kind, default, *, missing: list[str] | None = None):
+    def scalar(self, key: str, kind, default=_REQUIRED):
         """Read key as a quantity type from _QUANTITIES or through a checker."""
-        node = self.take(key)
-        if node is None:
-            if default is _REQUIRED:
-                raise ScenarioError(f"{self.where(key)}: required field is missing")
-            if missing is not None:
-                missing.append(key)
-            return default
-        if isinstance(node.value, (dict, list)):
+        value = self.take(key)
+        if value is _ABSENT:
+            return self.missing(key, default)
+        if isinstance(value, (dict, list)):
             raise ScenarioError(f"{self.where(key)}: expected a scalar")
         try:
-            return _read(node.value, kind)
+            return _read(value, kind)
         except ValueError as exc:
             raise ScenarioError(f"{self.where(key)}: {exc}") from exc
 
+    def missing(self, key: str, default: Any) -> Any:
+        if default is _REQUIRED:
+            line = self.lines.get(self.path)
+            raise ScenarioError(f"{self.sub(key)}{f' (line {line})' if line else ''}: required field is missing")
+        return default
+
     def section(self, key: str) -> "_Section":
-        return _Section(self.take(key), self.sub(key))
+        return _Section(self.take(key), self.sub(key), self.lines)
 
-    def sequence(self, key: str) -> list[_Node] | None:
-        node = self.take(key)
-        if node is None:
+    def sequence(self, key: str) -> list | None:
+        value = self.take(key)
+        if value is _ABSENT:
             return None
-        if not isinstance(node.value, list):
+        if not isinstance(value, list):
             raise ScenarioError(f"{self.where(key)}: expected a list")
-        return node.value
+        return value
 
-    def items(self, key: str, kinds: tuple, default):
+    def items(self, key: str, kinds: tuple, default=_REQUIRED):
         """Read a list of single values (one kind) or of [x, y] pairs (two)."""
-        nodes = self.sequence(key)
-        if nodes is None:
-            return default
+        entries = self.sequence(key)
+        if entries is None:
+            return self.missing(key, default)
         values = []
-        for i, entry in enumerate(nodes):
-            where = f"{self.sub(key)}[{i}] (line {entry.line})"
+        for i, entry in enumerate(entries):
+            where = self.where(f"{key}[{i}]")
             if len(kinds) == 1:
                 parts = [entry]
-            elif isinstance(entry.value, list) and len(entry.value) == 2:
-                parts = entry.value
+            elif isinstance(entry, list) and len(entry) == 2:
+                parts = entry
             else:
                 raise ScenarioError(f"{where}: expected a [x, y] pair")
             try:
-                read = tuple(_read(part.value, kind) for part, kind in zip(parts, kinds))
+                read = tuple(_read(part, kind) for part, kind in zip(parts, kinds))
             except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
             values.append(read if len(kinds) > 1 else read[0])
         return tuple(values)
 
     def reject_unknown(self) -> None:
-        for key, node in self.fields.items():
+        for key in self.fields:
             if key not in self.seen:
-                raise ScenarioError(f"{self.sub(key)} (line {node.line}): unknown field")
+                raise ScenarioError(f"{self.where(key)}: unknown field")
 
+    def build(self, cls: type, warnings: list[str]) -> Any:
+        """Read the dataclass cls from this mapping's fields and construct it."""
+        values = {}
+        for f in _fields_of(cls):
+            values[f.attr] = f.read(self, f.key, f.kind, f.default)
+            if f.flagged and f.key not in self.fields:
+                warnings.append(
+                    f"{self.sub(f.key)} not set; using the documented default of {f.default.uv} uV. "
+                    "This threshold is a configuration choice, not a measured value."
+                )
+        self.reject_unknown()
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ScenarioError(self.refusal(exc)) from exc
 
-_REQUIRED = object()  # the default of a field the file must set
+    def refusal(self, exc: ValueError) -> str:
+        if isinstance(exc, _FieldError):
+            path, message = exc.args
+            return f"{self.where(path)}: {message}"
+        return f"{self.where()}: {exc}"
 
 
 def _read(value: Any, kind) -> Any:
     return parse_quantity(value, kind) if kind in _QUANTITIES else kind(value)
 
 
-def _fraction(value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"expected a number in [0, 1], got {value!r}")
-    return float(value)
+def _exact(kind: type, expected: str) -> Callable[[Any], Any]:
+    """A checker for a plain value of kind: only a bool is a bool, and an int is also a float."""
+    accepted = (int, float) if kind is float else kind
+
+    def check(value: Any) -> Any:
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+            raise ScenarioError(f"expected {expected}, got {value!r}")
+        return kind(value)
+
+    return check
 
 
-def _bool(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"expected true or false, got {value!r}")
-    return value
+_fraction = _exact(float, "a number in [0, 1]")
+_bool = _exact(bool, "true or false")
+_string = _exact(str, "a string")
+_int = _exact(int, "an integer")
 
 
-def _string(value: Any) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(f"expected a string, got {value!r}")
-    return value
+# --- section fields -----------------------------------------------------
 
 
-def _int(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"expected an integer, got {value!r}")
-    return value
+class _Field(NamedTuple):
+    """How one field of a section's dataclass is read and written."""
+
+    attr: str
+    key: str  # the field's key in the document
+    read: Callable  # _Section.scalar, or _Section.items for a tuple
+    kind: Any  # what _read takes: per value, or per element of an [x, y] pair
+    write: Callable[[Any], Any]
+    default: Any  # _REQUIRED when the document must set the field
+    flagged: bool  # leaving it out warns: the default is a configuration choice
+
+
+# Per annotation other than a quantity type: what _read takes, and the writer.
+_PLAIN = {
+    Fraction: (_fraction, float),
+    bool: (_bool, bool),
+    str: (_string, str),
+    float: (float, lambda mah: quantity_text(float(mah))),  # a bare float is a charge in mAh
+}
+
+
+def _kind(annotation: Any) -> tuple[Any, Callable[[Any], Any]]:
+    if annotation in _PLAIN:
+        return _PLAIN[annotation]
+    if annotation in _QUANTITIES:
+        return annotation, quantity_text
+    return annotation, lambda member: member.value  # an enum, read by value
+
+
+@functools.cache
+def _fields_of(cls: type) -> tuple[_Field, ...]:
+    """Each field's reading and writing, from its type annotation."""
+    hints = get_type_hints(cls)
+    spec = []
+    for f in fields(cls):
+        annotation = hints[f.name]
+        if isinstance(annotation, UnionType):  # X | None, written only when set
+            (annotation,) = (arg for arg in get_args(annotation) if arg is not type(None))
+        if get_origin(annotation) is tuple:  # tuple[X, ...] or tuple[tuple[X, Y], ...]
+            item = get_args(annotation)[0]
+            kinds, writers = zip(*map(_kind, get_args(item) if get_origin(item) is tuple else (item,)))
+            read, kind, write = _Section.items, kinds, functools.partial(_write_items, writers)
+        else:
+            read, (kind, write) = _Section.scalar, _kind(annotation)
+        default = _REQUIRED if f.default is MISSING else f.default
+        key, flagged = f.metadata.get("key", f.name), f.metadata.get("flagged", False)
+        spec.append(_Field(f.name, key, read, kind, write, default, flagged))
+    return tuple(spec)
+
+
+def _write_items(writers: tuple, values: tuple) -> list:
+    """A list field: one value per entry, or an [x, y] pair per entry."""
+    if len(writers) == 1:
+        return [writers[0](value) for value in values]
+    write_x, write_y = writers
+    return [[write_x(x), write_y(y)] for x, y in values]
+
+
+def _section_dict(obj: Any) -> dict[str, Any]:
+    """A section's fields in field order; an optional field left at None is omitted."""
+    out = {}
+    for f in _fields_of(type(obj)):
+        value = getattr(obj, f.attr)
+        if value is not None:
+            out[f.key] = f.write(value)
+    return out
 
 
 # --- parsing ------------------------------------------------------------
@@ -300,10 +428,11 @@ def _int(value: Any) -> int:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
-    root = _Section(_load_tree(text), "")
+    lines: dict[str, int] = {}
+    root = _Section(_load_tree(text, lines), "", lines)
     warnings: list[str] = []
 
-    version = root.scalar("schema_version", _int, _REQUIRED)
+    version = root.scalar("schema_version", _int)
     if version != SCHEMA_VERSION:
         raise ScenarioError(
             f"schema_version: this build reads version {SCHEMA_VERSION}, file says {version}"
@@ -315,173 +444,41 @@ def parse_scenario(text: str) -> Scenario:
     meta.reject_unknown()
 
     pmic_sec = root.section("pmic")
-    flagged: list[str] = []
-    pmic = PmicConfig(
-        v_cold_start=pmic_sec.scalar("v_cold_start", Voltage, PmicConfig.v_cold_start),
-        p_cold_start=pmic_sec.scalar("p_cold_start", Power, PmicConfig.p_cold_start),
-        v_chrdy=pmic_sec.scalar("v_chrdy", Voltage, PmicConfig.v_chrdy, missing=flagged),
-        v_ovch=pmic_sec.scalar("v_ovch", Voltage, PmicConfig.v_ovch, missing=flagged),
-        v_ovch_hysteresis=pmic_sec.scalar(
-            "v_ovch_hysteresis", Voltage, PmicConfig.v_ovch_hysteresis, missing=flagged
-        ),
-        grace_window=pmic_sec.scalar("grace_window", Duration, PmicConfig.grace_window),
-    )
     # Schema v1 still carries pmic.i_quiescent; the drain it names is always_on.i_pmic.
     i_quiescent = pmic_sec.scalar("i_quiescent", Current, None)
-    pmic_sec.reject_unknown()
-    for key in flagged:
-        default = getattr(PmicConfig, key)
-        warnings.append(
-            f"pmic.{key} not set; using the documented default of {default.uv} uV. "
-            "This threshold is a configuration choice, not a measured value."
-        )
-
+    pmic = pmic_sec.build(PmicConfig, warnings)
     always_sec = root.section("always_on")
-    always_on = AlwaysOnBudget(
-        i_pmic=always_sec.scalar("i_pmic", Current, AlwaysOnBudget.i_pmic),
-        i_rtc=always_sec.scalar("i_rtc", Current, AlwaysOnBudget.i_rtc),
-        i_touch=always_sec.scalar("i_touch", Current, AlwaysOnBudget.i_touch),
-        i_extra_leakage=always_sec.scalar("i_extra_leakage", Current, AlwaysOnBudget.i_extra_leakage),
-        rail_voltage=always_sec.scalar("rail_voltage", Voltage, AlwaysOnBudget.rail_voltage),
-    )
-    always_sec.reject_unknown()
+    always_on = always_sec.build(AlwaysOnBudget, warnings)
     if i_quiescent is not None and i_quiescent != always_on.i_pmic:
         raise ScenarioError(
             f"{pmic_sec.where('i_quiescent')} is {i_quiescent.na} nA but {always_sec.where('i_pmic')} "
             f"is {always_on.i_pmic.na} nA; the two name the same PMIC drain and must agree"
         )
 
-    storage_sec = root.section("storage")
-    # Read every field first, so that a field's own error keeps its path.
-    curve = storage_sec.items("ocv_curve", (_fraction, Voltage), StorageElement.ocv_curve)
-    capacity = storage_sec.scalar("capacity", float, StorageElement.capacity_mah)
-    nominal = storage_sec.scalar("nominal_voltage", Voltage, StorageElement.nominal_voltage)
-    soc = storage_sec.scalar("initial_soc", _fraction, StorageElement.initial_soc)
-    try:
-        storage = StorageElement(
-            capacity_mah=capacity, nominal_voltage=nominal, initial_soc=soc, ocv_curve=curve
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"storage (line {storage_sec.line}): {exc}") from exc
-    storage_sec.reject_unknown()
-
-    rtc_sec = root.section("rtc")
-    rtc = RtcConfig(
-        alarm_period=rtc_sec.scalar("alarm_period", Duration, RtcConfig.alarm_period),
-        first_alarm=rtc_sec.scalar("first_alarm", TimePoint, RtcConfig.first_alarm),
-        rearm_on_clear=rtc_sec.scalar("rearm_on_clear", _bool, RtcConfig.rearm_on_clear),
-    )
-    rtc_sec.reject_unknown()
-
-    touch_sec = root.section("touch")
-    touch = TouchScript(press_times=touch_sec.items("press_times", (TimePoint,), TouchScript.press_times))
-    touch_sec.reject_unknown()
-
-    harv_sec = root.section("harvester")
-    calibration = harv_sec.items("calibration", (Illuminance, Power), None)
-    if calibration is None:
-        raise ScenarioError(f"harvester.calibration (line {harv_sec.line}): required field is missing")
-    harvester = HarvesterModel(
-        calibration=calibration,
-        v_open_circuit=harv_sec.scalar("v_open_circuit", Voltage, HarvesterModel.v_open_circuit),
-    )
-    harv_sec.reject_unknown()
-
+    storage = root.section("storage").build(StorageElement, warnings)
+    rtc = root.section("rtc").build(RtcConfig, warnings)
+    touch = root.section("touch").build(TouchScript, warnings)
+    harvester = root.section("harvester").build(HarvesterModel, warnings)
     timeline = root.items(
         "light_timeline", (TimePoint, Illuminance), ((TimePoint.zero(), Illuminance(0.0)),)
     )
-
-    script_nodes = root.sequence("load_script")
-    steps: list[LoadStep] = []
-    if script_nodes is not None:
-        for i, entry in enumerate(script_nodes):
-            if not isinstance(entry.value, dict):
-                raise ScenarioError(f"load_script[{i}] (line {entry.line}): expected a mapping")
-            step_sec = _Section(entry, f"load_script[{i}]")
-            steps.append(
-                LoadStep(
-                    name=step_sec.scalar("name", _string, _REQUIRED),
-                    duration=step_sec.scalar("duration", Duration, _REQUIRED),
-                    energy=step_sec.scalar("energy", Energy, _REQUIRED),
-                )
-            )
-            step_sec.reject_unknown()
-
-    variant_sec = root.section("dpm_variant")
-    kind_name = variant_sec.scalar("kind", _string, "hardware_gated")
-    try:
-        kind = VariantKind(kind_name)
-    except ValueError:
-        raise ScenarioError(
-            f"{variant_sec.where('kind')}: kind must be 'hardware_gated' or 'software_sleep'"
-        ) from None
-    i_sleep = variant_sec.scalar("i_sleep", Current, None)
-    variant_sec.reject_unknown()
-    if kind is VariantKind.SOFTWARE_SLEEP and i_sleep is None:
-        raise ScenarioError(f"{variant_sec.where('kind')}: software_sleep requires i_sleep")
-    if kind is VariantKind.HARDWARE_GATED and i_sleep is not None:
-        raise ScenarioError(f"{variant_sec.where('i_sleep')}: i_sleep only applies to software_sleep")
-    variant = DpmVariant(kind=kind, i_sleep=i_sleep)
-
+    steps = tuple(
+        _Section(entry, f"load_script[{i}]", lines).build(LoadStep, warnings)
+        for i, entry in enumerate(root.sequence("load_script") or ())
+    )
+    variant = root.section("dpm_variant").build(DpmVariant, warnings)
     sim_sec = root.section("sim")
-    duration = sim_sec.scalar("duration", Duration, _REQUIRED)
+    duration = sim_sec.scalar("duration", Duration)
     sim_sec.reject_unknown()
-
     root.reject_unknown()
 
-    scenario = Scenario(
-        schema_version=version,
-        name=name,
-        description=description,
-        pmic=pmic,
-        storage=storage,
-        always_on=always_on,
-        rtc=rtc,
-        touch=touch,
-        harvester=harvester,
-        light_timeline=timeline,
-        load_script=tuple(steps),
-        dpm_variant=variant,
-        duration=duration,
-        warnings=tuple(warnings),
-    )
-    validate_scenario(scenario)
-    return scenario
-
-
-def validate_scenario(s: Scenario) -> None:
-    """Cross-field validation; raises ScenarioError on the first problem."""
     try:
-        s.pmic.validate()
-        s.always_on.validate()
-        s.rtc.validate()
-        s.touch.validate()
-        s.harvester.validate()
-        validate_script(s.load_script)
+        return Scenario(
+            version, name, description, pmic, storage, always_on, rtc, touch, harvester,
+            timeline, steps, variant, duration, tuple(warnings),
+        )
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    if s.duration.us <= 0:
-        raise ScenarioError("sim.duration must be positive")
-    v_empty = s.storage.v_empty
-    v_full = s.storage.v_full
-    if not v_empty < s.pmic.v_chrdy:
-        raise ScenarioError(
-            f"pmic.v_chrdy ({s.pmic.v_chrdy.uv} uV) must sit above the empty-store voltage ({v_empty.uv} uV)"
-        )
-    if s.pmic.v_ovch > v_full:
-        raise ScenarioError(
-            f"pmic.v_ovch ({s.pmic.v_ovch.uv} uV) must sit within the OCV range (full = {v_full.uv} uV)"
-        )
-    if not s.light_timeline:
-        raise ScenarioError("light_timeline must contain at least one entry")
-    if s.light_timeline[0][0] != TimePoint.zero():
-        raise ScenarioError("light_timeline must start at 0s")
-    for (t0, _), (t1, _) in zip(s.light_timeline, s.light_timeline[1:]):
-        if t1 <= t0:
-            raise ScenarioError(f"light_timeline times must be strictly increasing ({t0.us} -> {t1.us})")
-    for _, lux in s.light_timeline:
-        if lux.lux < 0:
-            raise ScenarioError("light_timeline illuminance cannot be negative")
+        raise ScenarioError(root.refusal(exc)) from exc
 
 
 # --- canonical emission --------------------------------------------------
@@ -490,50 +487,18 @@ def validate_scenario(s: Scenario) -> None:
 def canonical_dict(s: Scenario) -> dict:
     """The scenario as plain data in canonical key order and base units."""
     q = quantity_text
-    variant: dict[str, Any] = {"kind": s.dpm_variant.kind.value}
-    if s.dpm_variant.i_sleep is not None:
-        variant["i_sleep"] = q(s.dpm_variant.i_sleep)
     return {
         "schema_version": s.schema_version,
         "meta": {"name": s.name, "description": s.description},
-        "pmic": {
-            "v_cold_start": q(s.pmic.v_cold_start),
-            "p_cold_start": q(s.pmic.p_cold_start),
-            "v_chrdy": q(s.pmic.v_chrdy),
-            "v_ovch": q(s.pmic.v_ovch),
-            "v_ovch_hysteresis": q(s.pmic.v_ovch_hysteresis),
-            "grace_window": q(s.pmic.grace_window),
-            "i_quiescent": q(s.always_on.i_pmic),
-        },
-        "storage": {
-            "capacity": q(float(s.storage.capacity_mah)),
-            "nominal_voltage": q(s.storage.nominal_voltage),
-            "initial_soc": s.storage.initial_soc,
-            "ocv_curve": [[soc, q(v)] for soc, v in s.storage.ocv_curve],
-        },
-        "always_on": {
-            "i_pmic": q(s.always_on.i_pmic),
-            "i_rtc": q(s.always_on.i_rtc),
-            "i_touch": q(s.always_on.i_touch),
-            "i_extra_leakage": q(s.always_on.i_extra_leakage),
-            "rail_voltage": q(s.always_on.rail_voltage),
-        },
-        "rtc": {
-            "alarm_period": q(s.rtc.alarm_period),
-            "first_alarm": q(s.rtc.first_alarm),
-            "rearm_on_clear": s.rtc.rearm_on_clear,
-        },
-        "touch": {"press_times": [q(t) for t in s.touch.press_times]},
-        "harvester": {
-            "v_open_circuit": q(s.harvester.v_open_circuit),
-            "calibration": [[q(lux), q(p)] for lux, p in s.harvester.calibration],
-        },
+        "pmic": {**_section_dict(s.pmic), "i_quiescent": q(s.always_on.i_pmic)},
+        "storage": _section_dict(s.storage),
+        "always_on": _section_dict(s.always_on),
+        "rtc": _section_dict(s.rtc),
+        "touch": _section_dict(s.touch),
+        "harvester": _section_dict(s.harvester),
         "light_timeline": [[q(t), q(lux)] for t, lux in s.light_timeline],
-        "load_script": [
-            {"name": step.name, "duration": q(step.duration), "energy": q(step.energy)}
-            for step in s.load_script
-        ],
-        "dpm_variant": variant,
+        "load_script": [_section_dict(step) for step in s.load_script],
+        "dpm_variant": _section_dict(s.dpm_variant),
         "sim": {"duration": q(s.duration)},
     }
 

@@ -28,7 +28,7 @@ class RtcConfig:
     first_alarm: TimePoint = TimePoint.zero()
     rearm_on_clear: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.alarm_period.us <= 0:
             raise ValueError("alarm_period must be positive")
 
@@ -39,7 +39,7 @@ class TouchScript:
 
     press_times: tuple[TimePoint, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for a, b in zip(self.press_times, self.press_times[1:]):
             if b <= a:
                 raise ValueError(f"touch press times must be strictly increasing ({a.us} -> {b.us})")

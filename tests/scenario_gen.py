@@ -43,7 +43,7 @@ from dpmsim.quantities import (
     TimePoint,
     Voltage,
 )
-from dpmsim.scenario import DpmVariant, Scenario, VariantKind, validate_scenario
+from dpmsim.scenario import DpmVariant, Scenario, VariantKind
 from dpmsim.wake import RtcConfig, TouchScript
 
 CLASSES = ("steady", "clamp", "decay")
@@ -208,7 +208,7 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
     press_ms = sorted(rng.sample(range(1, duration.us // 1000), k=n_touch))
     touch = TouchScript(press_times=tuple(TimePoint(ms * 1000) for ms in press_ms))
 
-    scenario = Scenario(
+    return Scenario(
         schema_version=1,
         name=f"gen-{klass}-{seed}",
         description=f"generated {klass} scenario, seed {seed}",
@@ -227,8 +227,6 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
         dpm_variant=variant,
         duration=duration,
     )
-    validate_scenario(scenario)
-    return scenario
 
 
 def with_initial_soc(s: Scenario, soc: float) -> Scenario:

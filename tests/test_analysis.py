@@ -149,6 +149,23 @@ class TestSweepLux:
         with pytest.raises(SweepError, match="resolution"):
             sweep_lux(case_study, Illuminance(1.0), Illuminance(200.0), resolution=0.0)
 
+    @pytest.mark.parametrize(
+        "lo, hi, resolution, message",
+        [
+            (1.0, 200.0, float("nan"), "resolution"),
+            (1.0, 200.0, float("inf"), "resolution"),
+            (1.0, float("inf"), 0.1, "0 <= lo < hi"),
+            (float("nan"), 200.0, 0.1, "0 <= lo < hi"),
+            (1.0, float("nan"), 0.1, "0 <= lo < hi"),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, case_study, monkeypatch, lo, hi, resolution, message):
+        # A NaN resolution once returned the bracket's midpoint, and an
+        # infinite bound ran a probe whose ledger overflowed.
+        monkeypatch.setattr(analysis, "_probe_net", pytest.fail)
+        with pytest.raises(SweepError, match=message):
+            sweep_lux(case_study, Illuminance(lo), Illuminance(hi), resolution=resolution)
+
     def test_zero_bound_is_the_answer(self, case_study, monkeypatch):
         nets = {0.0: 0.0, 10.0: -1.0, 20.0: 0.0, 40.0: 1.0}
         monkeypatch.setattr(analysis, "_probe_net", lambda s, lux: nets[lux])

@@ -153,6 +153,21 @@ def test_sweep_bad_bracket(capsys):
     assert "does not straddle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        (["--resolution", "nan"], "error: resolution must be positive and finite, got nan\n"),
+        (["--hi", "inf"], "error: need 0 <= lo < hi, both finite; got lo=1.0, hi=inf\n"),
+    ],
+    ids=["nan-resolution", "infinite-hi"],
+)
+def test_sweep_refuses_non_finite_numbers(capsys, bound, message):
+    assert main(["sweep", CASE_STUDY, "--lo", "1", "--hi", "200", *bound]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_oracle_agrees_on_case_study(capsys):
     assert main(["oracle", CASE_STUDY]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,8 @@ on a 2.2 V rail (994.4 nW), and a three-step wake burst totalling
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,7 +29,6 @@ from dpmsim.energy import (
     harvest_voltage,
     soc_at_voltage,
     script_duration,
-    validate_script,
 )
 from dpmsim.engine import run
 from dpmsim.quantities import (
@@ -224,16 +225,16 @@ def test_harvest_voltage_tracks_light_presence():
 
 def test_harvester_validation_errors():
     with pytest.raises(ValueError):
-        HarvesterModel(calibration=()).validate()
+        HarvesterModel(calibration=())
     with pytest.raises(ValueError):
-        HarvesterModel(calibration=((Illuminance(0.0), Power(1.0)),)).validate()
+        HarvesterModel(calibration=((Illuminance(0.0), Power(1.0)),))
     bad_order = (CAL[1], CAL[0])
     with pytest.raises(ValueError):
-        HarvesterModel(calibration=bad_order).validate()
+        HarvesterModel(calibration=bad_order)
     sagging = ((Illuminance(100.0), Power(50.0)), (Illuminance(200.0), Power(40.0)))
     with pytest.raises(ValueError):
-        HarvesterModel(calibration=sagging).validate()
-    HARVESTER.validate()
+        HarvesterModel(calibration=sagging)
+    HarvesterModel(calibration=CAL)
 
 
 # -- always-on budget and cycle arithmetic ---------------------------------
@@ -256,18 +257,18 @@ def test_load_step_power():
 
 def test_load_step_validation():
     with pytest.raises(ValueError):
-        LoadStep("bad", Duration(-1), Energy(0.0)).validate()
+        LoadStep("bad", Duration(-1), Energy(0.0))
     with pytest.raises(ValueError):
-        LoadStep("bad", Duration(10), Energy(-1.0)).validate()
+        LoadStep("bad", Duration(10), Energy(-1.0))
     with pytest.raises(ValueError):
-        LoadStep("bad", Duration(0), Energy(1.0)).validate()
+        LoadStep("bad", Duration(0), Energy(1.0))
 
 
-def test_script_rejects_duplicate_names():
+def test_script_rejects_duplicate_names(case_study):
     step = LoadStep("sample", Duration(10), Energy(1.0))
     with pytest.raises(ValueError):
-        validate_script((step, step))
-    validate_script((step, LoadStep("other", Duration(10), Energy(1.0))))
+        replace(case_study, load_script=(step, step))
+    replace(case_study, load_script=(step, LoadStep("other", Duration(10), Energy(1.0))))
 
 
 def test_cycle_energy_matches_case_study(case_study):
@@ -296,7 +297,7 @@ def test_cycle_net_gain_matches_case_study(case_study):
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        AlwaysOnBudget(i_pmic=Current(-1)).validate()
+        AlwaysOnBudget(i_pmic=Current(-1))
     with pytest.raises(ValueError):
-        AlwaysOnBudget(rail_voltage=Voltage(0)).validate()
-    AlwaysOnBudget().validate()
+        AlwaysOnBudget(rail_voltage=Voltage(0))
+    AlwaysOnBudget()

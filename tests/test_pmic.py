@@ -76,16 +76,14 @@ def test_shutdown_recovery_beats_grace_expiry():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PmicConfig(v_chrdy=Voltage.from_volts(3.6)).validate()
+        PmicConfig(v_chrdy=Voltage.from_volts(3.6))
     with pytest.raises(ValueError):
-        PmicConfig(v_ovch_hysteresis=Voltage(0)).validate()
+        PmicConfig(v_ovch_hysteresis=Voltage(0))
     with pytest.raises(ValueError):
-        PmicConfig(
-            v_chrdy=Voltage.from_volts(3.58), v_ovch_hysteresis=Voltage.from_millivolts(50)
-        ).validate()
+        PmicConfig(v_chrdy=Voltage.from_volts(3.58), v_ovch_hysteresis=Voltage.from_millivolts(50))
     with pytest.raises(ValueError):
-        PmicConfig(grace_window=Duration(0)).validate()
-    CFG.validate()
+        PmicConfig(grace_window=Duration(0))
+    PmicConfig()
 
 
 # -- exhaustive exclusivity sweep ----------------------------------------

@@ -197,6 +197,70 @@ def test_parse_rejections(mangle, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (
+            lambda d: d + "rtc:\n  alarm_period: 0s\n",
+            "rtc (line 13): alarm_period must be positive",
+        ),
+        (
+            lambda d: d + "touch:\n  press_times: [2s, 1s]\n",
+            "touch (line 13): touch press times must be strictly increasing (2000000 -> 1000000)",
+        ),
+        (
+            lambda d: d + "always_on:\n  i_rtc: -1nA\n",
+            "always_on (line 13): i_rtc must be non-negative",
+        ),
+        (
+            lambda d: d + "load_script:\n  - {name: a, duration: 0s, energy: 1mJ}\n",
+            "load_script[0] (line 13): load step 'a' draws energy over zero time",
+        ),
+        (
+            lambda d: d.replace("v_ovch: 4V", "v_ovch: 3.2V"),
+            "pmic (line 4): v_chrdy (3300000 uV) must be below v_ovch (3200000 uV)",
+        ),
+        (
+            lambda d: d.replace("calibration:\n    - [200lux, 43uW]\n", "calibration: []\n"),
+            "harvester (line 8): harvester calibration needs at least one point",
+        ),
+        (
+            lambda d: d
+            + "load_script:\n"
+            + "  - {name: a, duration: 1s, energy: 1mJ}\n"
+            + "  - {name: a, duration: 1s, energy: 1mJ}\n",
+            "load_script[1] (line 14): duplicate load step name 'a'",
+        ),
+        (
+            lambda d: d + "dpm_variant:\n  kind: software_sleep\n",
+            "dpm_variant.kind (line 13): software_sleep requires i_sleep",
+        ),
+        (
+            lambda d: d + "dpm_variant:\n  i_sleep: 3uA\n",
+            "dpm_variant.i_sleep (line 13): i_sleep only applies to software_sleep",
+        ),
+        (
+            lambda d: d.replace("10min", "0s"),
+            "sim.duration (line 11): must be positive",
+        ),
+        (
+            lambda d: d + "light_timeline: [[0s, 200lux], [5s, 100lux], [5s, 50lux]]\n",
+            "light_timeline[2] (line 12): times must be strictly increasing (5000000 -> 5000000)",
+        ),
+    ],
+    ids=[
+        "rtc", "touch", "always_on", "load_step", "pmic", "harvester",
+        "duplicate_step", "variant_kind", "variant_i_sleep", "sim", "timeline",
+    ],
+)
+def test_refusals_name_the_section_path_and_line(mangle, message):
+    # The section dataclasses refuse on construction; the parser adds
+    # where in the document the refused section or field sits.
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(mangle(MINIMAL))
+    assert str(err.value) == message
+
+
 def test_storage_field_errors_name_their_path_once():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(MINIMAL + "storage: {capacity: 10}\n")
@@ -230,8 +294,9 @@ def test_empty_and_malformed_documents():
         parse_scenario("")
     with pytest.raises(ScenarioError):
         parse_scenario("a: [unclosed")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError) as err:
         parse_scenario("just a string")
+    assert str(err.value) == "scenario document (line 1): expected a mapping"
 
 
 def test_quantity_parsers():
@@ -284,10 +349,13 @@ def test_emit_parse_round_trip(case_study, case_study_sw):
         assert emit_scenario(again) == emit_scenario(s)
 
 
-@pytest.mark.parametrize("seed", [1, 7, 40, 99])
+@pytest.mark.parametrize("seed", range(100))
 def test_emit_parse_round_trip_generated(seed):
     s = random_scenario(seed)
-    assert parse_scenario(emit_scenario(s)) == s
+    text = emit_scenario(s)
+    again = parse_scenario(text)
+    assert again == s
+    assert emit_scenario(again) == text
 
 
 def test_canonical_dict_shape(case_study):

@@ -15,19 +15,19 @@ from dpmsim.wake import RtcConfig, TouchScript
 
 def test_touch_script_must_be_strictly_increasing():
     with pytest.raises(ValueError):
-        TouchScript(press_times=(TimePoint(5), TimePoint(5))).validate()
+        TouchScript(press_times=(TimePoint(5), TimePoint(5)))
     with pytest.raises(ValueError):
-        TouchScript(press_times=(TimePoint(5), TimePoint(4))).validate()
-    TouchScript(press_times=(TimePoint(4), TimePoint(5))).validate()
-    TouchScript().validate()
+        TouchScript(press_times=(TimePoint(5), TimePoint(4)))
+    TouchScript(press_times=(TimePoint(4), TimePoint(5)))
+    TouchScript()
 
 
 def test_quiescent_current_validation():
     with pytest.raises(ValueError):
-        RtcConfig(alarm_period=Duration(0)).validate()
+        RtcConfig(alarm_period=Duration(0))
     # The RTC and touch drains live in the always-on budget only.
     with pytest.raises(ValueError):
-        AlwaysOnBudget(i_rtc=Current(-1)).validate()
+        AlwaysOnBudget(i_rtc=Current(-1))
     with pytest.raises(ValueError):
-        AlwaysOnBudget(i_touch=Current(-1)).validate()
-    RtcConfig().validate()
+        AlwaysOnBudget(i_touch=Current(-1))
+    RtcConfig()
