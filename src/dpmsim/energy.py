@@ -2,13 +2,14 @@
 
 State of charge is tracked in energy terms (nJ). The open-circuit
 voltage curve maps state of charge to the voltage the mode machine
-compares against its thresholds; because the curve is monotone, every
-threshold voltage corresponds to a single stored-energy level, which is
-what makes exact crossing prediction possible in the event engine.
+compares against its thresholds. The curve is monotone, if maybe flat in
+places, so each guard on the rounded voltage switches at a single stored
+energy, its onset, which makes exact crossing prediction possible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .quantities import Current, Duration, Energy, Fraction, Illuminance, Power, Voltage, energy_of, power_of
@@ -83,8 +84,8 @@ def _ocv_uv(segments: tuple[tuple[float, int, float, int], ...], soc: float) -> 
 
 
 def _soc_at_uv(segments: tuple[tuple[float, int, float, int], ...], uv: float) -> float:
-    """Inverse of the OCV curve; ``uv`` may be fractional, so crossing
-    prediction can aim between grid steps. Saturates at soc 1 past the top."""
+    """Inverse of the OCV curve at a voltage that may be fractional.
+    Saturates at soc 1 past the top."""
     # First matching segment wins; a flat segment maps to its left knee.
     for s0, v0, s1, v1 in segments:
         if uv <= v1:
@@ -148,9 +149,9 @@ class HarvesterModel:
         prev_lux = 0.0
         prev_nw = 0.0
         for lux, p in self.calibration:
-            if lux.lux <= prev_lux:
+            if not prev_lux < lux.lux < math.inf:  # NaN and infinities fail too
                 raise ValueError(f"calibration lux values must be strictly increasing ({prev_lux} -> {lux.lux})")
-            if p.nw < prev_nw:
+            if not prev_nw <= p.nw < math.inf:
                 raise ValueError(f"calibration power must be non-decreasing ({prev_nw} -> {p.nw} nW)")
             prev_lux, prev_nw = lux.lux, p.nw
 
@@ -216,7 +217,7 @@ class LoadStep:
     def __post_init__(self) -> None:
         if self.duration.us < 0:
             raise ValueError(f"load step {self.name!r} has a negative duration")
-        if self.energy.nj < 0:
+        if not 0 <= self.energy.nj < math.inf:  # NaN and infinities fail too
             raise ValueError(f"load step {self.name!r} has negative energy")
         if self.duration.us == 0 and self.energy.nj > 0:
             raise ValueError(f"load step {self.name!r} draws energy over zero time")

@@ -1,10 +1,11 @@
 """Deterministic discrete-event simulation engine.
 
 Between events every power flow is constant, so stored energy is a
-straight line and the engine integrates it in closed form; threshold
-crossings are solved analytically and queued as events instead of being
-hunted with fixed time steps. Replaying a scenario therefore produces
-byte-identical traces and reports.
+straight line and the engine integrates it in closed form; a threshold
+crossing is solved as the first microsecond that line reaches its exit's
+onset energy, and queued as an event instead of being hunted with fixed
+time steps. Replaying a scenario therefore produces byte-identical
+traces and reports.
 
 Event ordering is total: (time, kind priority, insertion sequence).
 Kind priority follows the order of _KIND_LABEL below, so
@@ -20,6 +21,7 @@ crossings still sitting in the heap.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -27,7 +29,6 @@ from typing import NamedTuple
 
 from .energy import (
     _integrate,
-    _soc_at_uv,
     _store_uv,
     always_on_power,
     harvest_power,
@@ -64,8 +65,8 @@ _DEEP_SLEEP, _WAKE_UP, _NORMAL, _OVERCHARGE, _SHUTDOWN = Mode
 
 # The two threshold events that no stored-voltage exit in the PMIC's
 # table covers: cold start reads the harvester (pmic.cold_start), and
-# depletion is the store reaching zero energy, which the engine forces.
-# Neither has a voltage, so their uv is never read.
+# depletion is the store reaching zero energy (its onset is 0 nJ), which
+# the engine forces. Neither has a voltage, so their uv is never read.
 _COLD_START = Exit("cold_start", 0, True, _WAKE_UP)
 _DEPLETED = Exit("depleted", 0, False, _DEEP_SLEEP)
 
@@ -169,8 +170,6 @@ class _State:
         self.ocv_segments = storage.ocv_segments
         self.e_capacity_nj = storage.e_capacity.nj
         self.e_store_nj = storage.e_store.nj
-        self.v_empty_uv = storage.v_empty.uv
-        self.v_full_uv = storage.v_full.uv
         self.exits = scenario.pmic.exits
         self.p_harvest_nw = 0.0
         self.v_harvest_uv = 0
@@ -286,57 +285,57 @@ def _advance_to(state: _State, t_us: int) -> None:
 # -- threshold crossing prediction ------------------------------------
 
 
-def _holds(state: _State, exit: Exit, e_nj: float) -> bool:
-    """Would the exit's guard hold at stored energy e_nj?"""
+@functools.cache
+def _onset_nj(segments: tuple[tuple[float, int, float, int], ...], capacity_nj: float, exit: Exit) -> float:
+    """The stored energy at which the exit's guard switches.
+
+    round(v(e)) is monotone in e, so a rising guard holds exactly when
+    e >= onset and a falling one exactly when e <= onset. A threshold in
+    (v_empty, v_full] reads differently on an empty and a full store, so
+    the guard itself bisects the floats between the two.
+    """
     if exit is _DEPLETED:
-        return e_nj <= 0.0
-    return exit.holds(round(state.v_store_float(e_nj)))
+        return 0.0
+    lo, hi = 0.0, capacity_nj
+    while lo < (mid := (lo + hi) / 2) < hi:
+        onset_below = exit.holds(round(_store_uv(segments, mid, capacity_nj))) is exit.rising
+        lo, hi = (lo, mid) if onset_below else (mid, hi)
+    return hi if exit.rising else lo
 
 
 def find_threshold_crossing(state: _State, exit: Exit) -> int | None:
     """Earliest microsecond at which the exit's guard becomes true.
 
-    Returns None when the net power points away from the exit. The
-    guards compare round(v) on the 1 uV grid, so each one switches on
-    half a microvolt from its threshold: ``round(v) >= T`` from T - 0.5
-    and ``round(v) < T`` below T - 0.5. The solve aims at that onset and
-    walks forward over float dust, so the dispatched event sees v_store
-    within 1 uV of the first reading at which the guard holds.
+    Returns None when the net power points away from the exit. The guard
+    holds from its onset energy on, so the solve works on energies alone:
+    it estimates the time to the onset and settles it on the stored
+    energy _advance_to will reach, e0 + p_net * (t - now) / 1e6.
     """
-    if exit is not _DEPLETED and not state.v_empty_uv <= exit.uv <= state.v_full_uv:
-        raise ValueError(
-            f"crossing target {exit.uv} uV is outside the storage voltage range"
-        )
     p_nw = state.net_nw()
     e0 = state.e_store_nj
     now = state.now
-
-    if _holds(state, exit, e0):
+    onset = _onset_nj(state.ocv_segments, state.e_capacity_nj, exit)
+    sign = 1.0 if exit.rising else -1.0
+    if sign * e0 >= sign * onset:
         return now
+    if sign * p_nw <= 0.0:
+        return None
 
-    if exit is _DEPLETED:
-        if p_nw >= 0.0:
-            return None
-        e_aim = 0.0
-    else:
-        if (p_nw <= 0.0) if exit.rising else (p_nw >= 0.0):
-            return None
-        v_aim = min(float(state.v_full_uv), max(float(state.v_empty_uv), exit.uv - 0.5))
-        e_aim = _soc_at_uv(state.ocv_segments, v_aim) * state.e_capacity_nj
+    def reached(t: int) -> bool:
+        return sign * (e0 + p_nw * (t - now) / 1e6) >= sign * onset
 
-    t = now + math.ceil((e_aim - e0) / p_nw * 1e6)
-    if t <= now:
-        t = now + 1
-    # Float dust can leave the aim point a hair short of the guard; walk
-    # forward microsecond by microsecond (strictly bounded in practice).
-    for _ in range(1000):
-        e_t = e0 + p_nw * (t - now) / 1e6
-        if _holds(state, exit, e_t):
-            return t
-        t += 1
-    # Power so small the guard is still dust-distance away; dispatching
-    # early is harmless because the dispatch re-solves from fresh state.
-    return t
+    # The estimate misses by up to half an ulp of e over p_net's per-us
+    # step; e(t) is monotone, so widen a bracket around it, then bisect.
+    hi = now + max(1, math.ceil((onset - e0) / p_nw * 1e6))
+    lo = hi - 1
+    while not reached(hi):
+        lo, hi = hi, 3 * hi - 2 * lo
+    while reached(lo):
+        lo, hi = 3 * lo - 2 * hi, lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    return hi
 
 
 def _reschedule_threshold(state: _State) -> None:

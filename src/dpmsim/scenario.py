@@ -117,7 +117,7 @@ class Scenario:
             if t1 <= t0:
                 raise _FieldError(f"light_timeline[{i}]", f"times must be strictly increasing ({t0.us} -> {t1.us})")
         for i, (_, lux) in enumerate(timeline):
-            if lux.lux < 0:
+            if not 0 <= lux.lux < math.inf:  # NaN and infinities fail too
                 raise _FieldError(f"light_timeline[{i}]", "illuminance cannot be negative")
 
 

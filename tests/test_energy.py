@@ -8,6 +8,7 @@ on a 2.2 V rail (994.4 nW), and a three-step wake burst totalling
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -234,6 +235,9 @@ def test_harvester_validation_errors():
     sagging = ((Illuminance(100.0), Power(50.0)), (Illuminance(200.0), Power(40.0)))
     with pytest.raises(ValueError):
         HarvesterModel(calibration=sagging)
+    for lux, nw in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            HarvesterModel(calibration=((Illuminance(lux), Power(nw)),))
     HarvesterModel(calibration=CAL)
 
 
@@ -262,6 +266,9 @@ def test_load_step_validation():
         LoadStep("bad", Duration(10), Energy(-1.0))
     with pytest.raises(ValueError):
         LoadStep("bad", Duration(0), Energy(1.0))
+    for nj in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="has negative energy"):
+            LoadStep("bad", Duration(10), Energy(nj))
 
 
 def test_script_rejects_duplicate_names(case_study):

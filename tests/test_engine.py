@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hyp
 
 from dpmsim.engine import (
@@ -21,7 +21,7 @@ from dpmsim.engine import (
     _advance_to,
     _check_invariants,
     _dispatch,
-    _holds,
+    _onset_nj,
     _set_lux,
     _State,
     _Step,
@@ -30,7 +30,7 @@ from dpmsim.engine import (
     idle_power,
     run,
 )
-from dpmsim.energy import _integrate, _soc_at_uv
+from dpmsim.energy import _integrate, _soc_at_uv, _store_uv
 from dpmsim.pmic import Exit, Mode, PmicConfig, step_mode
 from dpmsim.quantities import Duration, Energy, Illuminance, TimePoint
 from dpmsim.scenario import parse_scenario, with_constant_light
@@ -88,7 +88,7 @@ def test_crossing_already_satisfied_returns_now():
 
 def _guard_holds(st: _State, exit: Exit, t: int) -> bool:
     """The exit's guard at time t, on the state's constant net power."""
-    return _holds(st, exit, st.e_store_nj + st.net_nw() * (t - st.now) / 1e6)
+    return exit.holds(round(st.v_store_float(st.e_store_nj + st.net_nw() * (t - st.now) / 1e6)))
 
 
 def test_crossing_charge_time_is_energy_over_power():
@@ -135,10 +135,9 @@ def test_step_mode_leaves_by_the_solved_crossing(case_study, mode, label, gap_uv
 
     The store opens gap_uv short of the guard's onset (exit.uv - 0.5 uV)
     and moves towards it at 1 uW-100 mW. The guard must hold at the
-    solved t and not at t - 2: t - 1 can still hold, because ceil over a
-    float quotient may land one us past an onset that sits on a us
-    boundary. Below ~1 uW near a full store, one us of charge is under
-    one ulp of the stored energy, so the power range stops there. Each
+    solved t and not at t - 1, unless t - 1 is the opening instant.
+    Below ~1 uW near a full store, one us of charge is under one ulp of
+    the stored energy, so the power range stops there. Each
     reading enters the mode at the instant it reads, so Shutdown's grace
     window never runs out under it.
     """
@@ -158,7 +157,8 @@ def test_step_mode_leaves_by_the_solved_crossing(case_study, mode, label, gap_uv
         return step_mode(mode, t_us, case_study.pmic, v_uv, 0, 0.0, t_us)
 
     assert mode_at(t) is exit.to
-    assert mode_at(t - 2) is mode
+    if t - 1 != st.now:
+        assert mode_at(t - 1) is mode
 
 
 def test_crossing_depletion_time_is_exact():
@@ -169,11 +169,59 @@ def test_crossing_depletion_time_is_exact():
     assert find_threshold_crossing(st, _DEPLETED) == 1_000_000_000
 
 
-def test_crossing_target_outside_curve_is_rejected():
-    st = _state()
-    st.mode = Mode.NORMAL
-    with pytest.raises(ValueError):
-        find_threshold_crossing(st, Exit("chrdy_up", 2_000_000, True, Mode.NORMAL))
+def test_crossing_depletion_lands_on_the_first_empty_microsecond():
+    # A Shutdown solve from random_scenario(81) whose quotient rounds up
+    # past a whole microsecond: ceil of it lands 1 us after the store
+    # first reads empty.
+    st = _State(random_scenario(81))
+    st.mode = Mode.SHUTDOWN
+    st.now = 2_013_281_208
+    st.e_store_nj = 11_959_393_539.680122
+    st.p_harvest_nw = 400.528691251263
+    assert st.net_nw() == 400.528691251263 - 770.0
+    t = find_threshold_crossing(st, _DEPLETED)
+    assert t == 32_370_950_344_771
+    assert _integrate(st.e_store_nj, st.e_capacity_nj, st.net_nw(), t - st.now)[0] == 0.0
+    assert _integrate(st.e_store_nj, st.e_capacity_nj, st.net_nw(), t - 1 - st.now)[0] > 0.0
+
+
+@hyp.composite
+def _curve_and_exit(draw):
+    """An OCV curve with flat segments and 1 uV steps, and an exit a
+    valid scenario can hold: its threshold sits above v_empty and at or
+    below v_full, often on a knot or a curve end."""
+    n = draw(hyp.integers(2, 6))
+    inner = sorted(draw(hyp.sets(hyp.floats(0.001, 0.999), min_size=n - 2, max_size=n - 2)))
+    socs = [0.0, *inner, 1.0]
+    steps = draw(hyp.lists(hyp.sampled_from([0, 1, 2]) | hyp.integers(0, 2_000_000), min_size=n - 1, max_size=n - 1))
+    if not any(steps):
+        steps[-1] = 1
+    uvs = [draw(hyp.integers(1_000_000, 4_000_000))]
+    for step in steps:
+        uvs.append(uvs[-1] + step)
+    segments = tuple((s0, v0, s1, v1) for s0, v0, s1, v1 in zip(socs, uvs, socs[1:], uvs[1:]))
+    uv = draw(hyp.sampled_from([uvs[-1], uvs[0] + 1, *uvs[1:]]) | hyp.integers(uvs[0] + 1, uvs[-1]))
+    rising = draw(hyp.booleans())
+    exit = Exit("probe", max(uv, uvs[0] + 1), rising, Mode.NORMAL)
+    return segments, draw(hyp.floats(1e3, 1e11)), exit
+
+
+@given(_curve_and_exit())
+@example((  # a segment one ulp of soc wide that climbs 2 uV
+    ((0.0, 1_000_000, 0.001, 1_000_000), (0.001, 1_000_000, 0.0010000000000000002, 1_000_002),
+     (0.0010000000000000002, 1_000_002, 1.0, 1_000_002)),
+    1000.0,
+    Exit("probe", 1_000_001, False, Mode.NORMAL),
+))
+def test_onset_energy_is_where_the_guard_switches(case):
+    segments, capacity_nj, exit = case
+    onset = _onset_nj(segments, capacity_nj, exit)
+
+    def guard(e_nj: float) -> bool:
+        return exit.holds(round(_store_uv(segments, e_nj, capacity_nj)))
+
+    assert guard(onset)
+    assert not guard(math.nextafter(onset, -math.inf if exit.rising else math.inf))
 
 
 def test_advance_to_rejects_time_running_backwards():

@@ -392,6 +392,9 @@ def test_with_constant_light(case_study):
     assert s.light_timeline == ((TimePoint.zero(), Illuminance(350.0)),)
     assert s.load_script == case_study.load_script
     assert s.pmic == case_study.pmic
+    for lux in (-1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=r"^light_timeline\[0\]: illuminance cannot be negative$"):
+            with_constant_light(case_study, lux)
 
 
 def test_with_initial_soc(case_study):
