@@ -109,8 +109,11 @@ sim:
         ("light_timeline: [[0s, 1e400lux]]\n", "light_timeline[0] (line 9): '1e400lux' is not a finite"),
         ("touch:\n  press_times: [1e30us]\n", "touch.press_times[0] (line 10): TimePoint"),
         ("storage:\n  ocv_curve: [[0, 3V], [.nan, 3.6V], [1, 4.2V]]\n", "storage (line 10): ocv_curve"),
+        ("rtc:\n  alarm_period: !x 10min\n", "rtc.alarm_period (line 10): not a valid YAML value"),
+        ("touch:\n  press_times: [2020-13-45]\n", "touch.press_times[0] (line 10): not a valid YAML"),
+        ("meta: &a {name: *a}\n", "meta.name (line 9): YAML aliases are not supported"),
     ],
-    ids=["non-finite", "overflow", "nan-knot"],
+    ids=["non-finite", "overflow", "nan-knot", "unknown-tag", "bad-date", "alias"],
 )
 def test_validate_refuses_values_out_of_range(tmp_path, capsys, extra, where):
     bad = tmp_path / "bad.scenario"

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+import time
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dpmsim.scenario as scenario_module
 from dpmsim.quantities import Current, Duration, Energy, Illuminance, Power, TimePoint, Voltage
 from dpmsim.scenario import (
     _QUANTITIES,
@@ -22,7 +26,9 @@ from dpmsim.scenario import (
 )
 from scenario_gen import random_scenario, with_initial_soc
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
+SCENARIO_DIR = REPO / "scenarios"
 
 MINIMAL = """
 schema_version: 1
@@ -113,84 +119,84 @@ sim:
     assert s == parse_scenario(doc.replace("10min", "600s"))
 
 
-@pytest.mark.parametrize(
-    "mangle, needle",
-    [
-        (lambda d: d.replace("schema_version: 1", "schema_version: 2"), "schema_version"),
-        (lambda d: d.replace("schema_version: 1\n", ""), "schema_version"),
-        (lambda d: d + "unknown_top: 1\n", "unknown field"),
-        (lambda d: d.replace("sim:\n  duration: 10min\n", "sim: {}\n"), "required field"),
-        (lambda d: d.replace("10min", "0s"), "must be positive"),
-        (lambda d: d.replace("10min", "1.5us"), "grid"),
-        (lambda d: d.replace("3.3V", "3.3volts"), "not a voltage"),
-        (lambda d: d.replace("3.3V", "2.9V"), "empty-store voltage"),
-        (lambda d: d.replace("4V", "4.3V"), "OCV range"),
-        (lambda d: d + "light_timeline: [[5s, 200lux]]\n", "start at 0s"),
-        (
-            lambda d: d + "light_timeline: [[0s, 200lux], [5s, 100lux], [5s, 50lux]]\n",
-            "strictly increasing",
-        ),
-        (lambda d: d + "light_timeline: [[0s, -3]]\n", "negative"),
-        (lambda d: d + "storage:\n  initial_soc: 1.5\n", "[0, 1]"),
-        (
-            lambda d: d
-            + "load_script:\n"
-            + "  - {name: a, duration: 1s, energy: 1mJ}\n"
-            + "  - {name: a, duration: 1s, energy: 1mJ}\n",
-            "duplicate load step name",
-        ),
-        # Nothing computes with a step's supply rail, so a file that names one is
-        # refused. The id is the one this case had while rail was an lv/hv field.
-        pytest.param(
-            lambda d: d + "load_script:\n  - {name: a, duration: 1s, energy: 1mJ, rail: hv}\n",
-            "load_script[0].rail (line 13): unknown field",
-            id="<lambda>-rail must be",
-        ),
-        (lambda d: d + "dpm_variant:\n  kind: software_sleep\n", "requires i_sleep"),
-        (
-            lambda d: d + "dpm_variant:\n  kind: hardware_gated\n  i_sleep: 3uA\n",
-            "only applies to software_sleep",
-        ),
-        (lambda d: d + "dpm_variant:\n  kind: psychic\n", "kind must be"),
-        (
-            lambda d: d.replace("calibration:\n    - [200lux, 43uW]\n", "calibration: []\n"),
-            "at least one",
-        ),
-        (lambda d: d + "pmic2: {}\n", "unknown field"),
-        # No run, comparison or sweep read it, so a file that sets it is refused.
-        (
-            lambda d: d + "always_on:\n  fixed_cycle_energy: 0.6mJ\n",
-            "always_on.fixed_cycle_energy (line 13): unknown field",
-        ),
-        # Values past 64 bits or past the float range name their field.
-        (
-            lambda d: d.replace("10min", "1e30us"),
-            "sim.duration (line 11): Duration 1000000000000000000000000000000"
-            " does not fit in 64-bit signed range",
-        ),
-        # Past Python's 4,300-digit str() limit the value is named by its length.
-        (
-            lambda d: d.replace("10min", "1e5000us"),
-            "sim.duration (line 11): Duration of 5001 digits does not fit in 64-bit signed range",
-        ),
-        (
-            lambda d: d + "touch:\n  press_times: [1e30us]\n",
-            "touch.press_times[0] (line 13): TimePoint 1000000000000000000000000000000 does not fit",
-        ),
-        (
-            lambda d: d + "light_timeline: [[0s, 1e400lux]]\n",
-            "light_timeline[0] (line 12): '1e400lux' is not a finite illuminance",
-        ),
-        (
-            lambda d: d.replace("43uW", "1e400uW"),
-            "harvester.calibration[0] (line 9): '1e400uW' is not a finite power",
-        ),
-        (
-            lambda d: d + "storage:\n  ocv_curve: [[0, 3V], [.nan, 3.6V], [1, 4.2V]]\n",
-            "storage (line 13): ocv_curve soc values must be strictly increasing (0.0 -> nan)",
-        ),
-    ],
-)
+PARSE_REJECTIONS = [
+    (lambda d: d.replace("schema_version: 1", "schema_version: 2"), "schema_version"),
+    (lambda d: d.replace("schema_version: 1\n", ""), "schema_version"),
+    (lambda d: d + "unknown_top: 1\n", "unknown field"),
+    (lambda d: d.replace("sim:\n  duration: 10min\n", "sim: {}\n"), "required field"),
+    (lambda d: d.replace("10min", "0s"), "must be positive"),
+    (lambda d: d.replace("10min", "1.5us"), "grid"),
+    (lambda d: d.replace("3.3V", "3.3volts"), "not a voltage"),
+    (lambda d: d.replace("3.3V", "2.9V"), "empty-store voltage"),
+    (lambda d: d.replace("4V", "4.3V"), "OCV range"),
+    (lambda d: d + "light_timeline: [[5s, 200lux]]\n", "start at 0s"),
+    (
+        lambda d: d + "light_timeline: [[0s, 200lux], [5s, 100lux], [5s, 50lux]]\n",
+        "strictly increasing",
+    ),
+    (lambda d: d + "light_timeline: [[0s, -3]]\n", "negative"),
+    (lambda d: d + "storage:\n  initial_soc: 1.5\n", "[0, 1]"),
+    (
+        lambda d: d
+        + "load_script:\n"
+        + "  - {name: a, duration: 1s, energy: 1mJ}\n"
+        + "  - {name: a, duration: 1s, energy: 1mJ}\n",
+        "duplicate load step name",
+    ),
+    # Nothing computes with a step's supply rail, so a file that names one is
+    # refused. The id is the one this case had while rail was an lv/hv field.
+    pytest.param(
+        lambda d: d + "load_script:\n  - {name: a, duration: 1s, energy: 1mJ, rail: hv}\n",
+        "load_script[0].rail (line 13): unknown field",
+        id="<lambda>-rail must be",
+    ),
+    (lambda d: d + "dpm_variant:\n  kind: software_sleep\n", "requires i_sleep"),
+    (
+        lambda d: d + "dpm_variant:\n  kind: hardware_gated\n  i_sleep: 3uA\n",
+        "only applies to software_sleep",
+    ),
+    (lambda d: d + "dpm_variant:\n  kind: psychic\n", "kind must be"),
+    (
+        lambda d: d.replace("calibration:\n    - [200lux, 43uW]\n", "calibration: []\n"),
+        "at least one",
+    ),
+    (lambda d: d + "pmic2: {}\n", "unknown field"),
+    # No run, comparison or sweep read it, so a file that sets it is refused.
+    (
+        lambda d: d + "always_on:\n  fixed_cycle_energy: 0.6mJ\n",
+        "always_on.fixed_cycle_energy (line 13): unknown field",
+    ),
+    # Values past 64 bits or past the float range name their field.
+    (
+        lambda d: d.replace("10min", "1e30us"),
+        "sim.duration (line 11): Duration 1000000000000000000000000000000"
+        " does not fit in 64-bit signed range",
+    ),
+    # Past Python's 4,300-digit str() limit the value is named by its length.
+    (
+        lambda d: d.replace("10min", "1e5000us"),
+        "sim.duration (line 11): Duration of 5001 digits does not fit in 64-bit signed range",
+    ),
+    (
+        lambda d: d + "touch:\n  press_times: [1e30us]\n",
+        "touch.press_times[0] (line 13): TimePoint 1000000000000000000000000000000 does not fit",
+    ),
+    (
+        lambda d: d + "light_timeline: [[0s, 1e400lux]]\n",
+        "light_timeline[0] (line 12): '1e400lux' is not a finite illuminance",
+    ),
+    (
+        lambda d: d.replace("43uW", "1e400uW"),
+        "harvester.calibration[0] (line 9): '1e400uW' is not a finite power",
+    ),
+    (
+        lambda d: d + "storage:\n  ocv_curve: [[0, 3V], [.nan, 3.6V], [1, 4.2V]]\n",
+        "storage (line 13): ocv_curve soc values must be strictly increasing (0.0 -> nan)",
+    ),
+]
+
+
+@pytest.mark.parametrize("mangle, needle", PARSE_REJECTIONS)
 def test_parse_rejections(mangle, needle):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(mangle(MINIMAL))
@@ -286,17 +292,151 @@ def test_duplicate_yaml_keys_are_rejected():
     doc = MINIMAL + "sim:\n  duration: 5min\n"
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
-    assert "duplicate key" in str(err.value)
+    assert str(err.value) == "line 12: duplicate key 'sim'"
 
 
 def test_empty_and_malformed_documents():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="^scenario document is empty$"):
         parse_scenario("")
-    with pytest.raises(ScenarioError):
+    # YAML errors read as pyyaml's pure-Python loader words them, snippet included.
+    with pytest.raises(ScenarioError) as err:
         parse_scenario("a: [unclosed")
+    assert str(err.value) == (
+        "not valid YAML: while parsing a flow sequence\n"
+        '  in "<unicode string>", line 1, column 4:\n'
+        "    a: [unclosed\n"
+        "       ^\n"
+        "expected ',' or ']', but got '<stream end>'\n"
+        '  in "<unicode string>", line 1, column 13:\n'
+        "    a: [unclosed\n"
+        "                ^"
+    )
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL.replace("v_ovch: 4V", "v_ovch:\t4V"))
+    assert str(err.value) == (
+        "not valid YAML: while scanning for the next token\n"
+        "found character '\\t' that cannot start any token\n"
+        '  in "<unicode string>", line 5, column 10:\n'
+        "      v_ovch:\t4V\n"
+        "             ^"
+    )
     with pytest.raises(ScenarioError) as err:
         parse_scenario("just a string")
     assert str(err.value) == "scenario document (line 1): expected a mapping"
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("!x 4V", "could not determine a constructor for the tag '!x'"),
+        # libyaml would scan this tag as '!us'; the refusal is the pure loader's.
+        ("!us, 4V", "could not determine a constructor for the tag '!us,'"),
+        ("2020-13-45", "month must be in 1..12"),
+    ],
+)
+def test_values_yaml_cannot_construct_are_refused(value, reason):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL.replace("v_ovch: 4V", f"v_ovch: {value}"))
+    assert str(err.value) == f"pmic.v_ovch (line 5): not a valid YAML value: {reason}"
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("meta: &a {name: *a}\n", "meta.name (line 12)"),
+        ("light_timeline: &a [*a]\n", "light_timeline[0] (line 12)"),
+        # The line is the alias's own, not its anchor's (line 13).
+        ("meta:\n  name: &n x\n  description:\n    *n\n", "meta.description (line 15)"),
+        ("meta:\n  &k name: x\n  *k : y\n", "meta (line 14)"),
+    ],
+    ids=["recursive_mapping", "recursive_list", "value", "key"],
+)
+def test_yaml_aliases_are_refused_where_they_are_used(tail, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL + tail)
+    assert str(err.value) == f"{message}: YAML aliases are not supported"
+
+
+def test_nested_aliases_are_refused_without_expanding_them():
+    # Each level lists the one below ten times: 10**7 scalars if copied out.
+    levels = ["  x0: &a0 [" + ", ".join(["1V"] * 10) + "]\n"]
+    levels += [f"  x{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]\n" for i in range(1, 8)]
+    start = time.perf_counter()
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL + "meta:\n" + "".join(levels))
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == "meta.x1[0] (line 14): YAML aliases are not supported"
+
+
+# 100,000 levels would overflow the C stack in libyaml's composer.
+@pytest.mark.parametrize("depth", [1000, 100_000])
+def test_deep_nesting_is_refused(depth):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario("a:\n" + "- " * depth + "x\n")
+    assert str(err.value) == "not valid YAML: nested deeper than the parser's recursion limit"
+
+
+# Characters on which libyaml and the pure-Python loader have been seen to
+# differ, characters either refuses, and YAML punctuation.
+MUTATION_ALPHABET = [
+    "\t", "?", "\ufeff", "\x00", "\x85", "\r", "\xa0", "µ", "é", "—", "\u2028", "\ud800",
+    "!", "&", "*", "%", "#", "|", ">", "'", '"', "@", "`", ":", "-", ",", "[", "]", "{", "}", " ", "\n",
+]
+
+# Texts that libyaml alone accepts or reads otherwise, or cannot take: one
+# for each character that keeps a text off the libyaml route.
+LIBYAML_DIVERGENT = [
+    MINIMAL.replace("v_ovch: 4V", "v_ovch:\t4V"),
+    MINIMAL + "meta: {name: a?b}\n",
+    MINIMAL.replace("\n  v_chrdy", "\n\ufeff v_chrdy"),
+    MINIMAL + "meta: {name: !!str, description: x}\n",
+    MINIMAL + "meta: {name: &n x, description: *n}\n",
+    MINIMAL + "meta:\n  name: a\ud800\n",
+]
+
+
+def _mutants(text: str, count: int, seed: int) -> list[str]:
+    """count copies of text, each with one to three characters inserted, replaced or deleted."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        mutant = text
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(mutant) + 1)
+            keep = rng.choice((i, i, i + 1))  # insert twice as often as replace
+            c = rng.choice(MUTATION_ALPHABET) if rng.random() < 0.85 else ""
+            mutant = mutant[:i] + c + mutant[keep:]
+        out.append(mutant)
+    return out
+
+
+def _outcome(text: str) -> tuple:
+    try:
+        s = parse_scenario(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return s, s.warnings
+
+
+def test_libyaml_and_pure_routes_agree(monkeypatch):
+    case_study = (SCENARIO_DIR / "case_study.scenario").read_text()
+    texts = [case_study, (SCENARIO_DIR / "case_study_software.scenario").read_text()]
+    texts += [emit_scenario(random_scenario(seed)) for seed in range(100)]
+    texts += [getattr(case, "values", case)[0](MINIMAL) for case in PARSE_REJECTIONS]
+    texts += LIBYAML_DIVERGENT + _mutants(case_study, 300, seed=0)
+    fast = [_outcome(text) for text in texts]
+    monkeypatch.setattr(scenario_module, "_FAST_LOADER", None)
+    for text, expected in zip(texts, fast):
+        assert _outcome(text) == expected, repr(text)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml is built without libyaml")
+def test_bundled_scenarios_take_the_libyaml_route(monkeypatch):
+    texts = [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.scenario"))]
+    # With the pure route gone, a parse succeeds only on the libyaml route.
+    monkeypatch.setattr(scenario_module, "_PureLoader", None)
+    for text in texts:
+        parse_scenario(text)
 
 
 def test_quantity_parsers():
