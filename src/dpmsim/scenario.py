@@ -210,7 +210,7 @@ _FAST_LOADER = getattr(yaml, "CSafeLoader", None)  # None without libyaml
 # or that libyaml cannot take (a lone surrogate does not encode to UTF-8).
 _PURE_ONLY = re.compile("[\t?!*\ufeff\ud800-\udfff]")
 # Every nesting level costs one of these indicators; libyaml's composer
-# overflows an 8 MB C stack at ~20,000 levels.
+# overflows an 8 MB C stack at 20,000-25,000 levels.
 _FAST_MAX_INDICATORS = 4096
 
 
