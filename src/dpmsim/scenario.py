@@ -17,7 +17,7 @@ not read every text alike: libyaml accepts a tab between tokens, a `?` in
 a plain scalar, a byte-order mark inside the text and tags that SafeLoader
 refuses, cannot take a lone surrogate, and recurses in C, so deep nesting
 overflows its stack. So libyaml composes only a text free of those
-characters and of aliases, with few nesting indicators, and a text it
+characters and of aliases, nested at most 4,096 levels deep, and a text it
 refuses is parsed again with SafeLoader: every accepted scenario and every
 refusal message is SafeLoader's. Aliases are refused where they are used:
 no scenario needs one, and copying them out grows exponentially with their
@@ -209,9 +209,9 @@ _FAST_LOADER = getattr(yaml, "CSafeLoader", None)  # None without libyaml
 # Characters on which libyaml and SafeLoader may read a text differently,
 # or that libyaml cannot take (a lone surrogate does not encode to UTF-8).
 _PURE_ONLY = re.compile("[\t?!*\ufeff\ud800-\udfff]")
-# Every nesting level costs one of these indicators; libyaml's composer
-# overflows an 8 MB C stack at 20,000-25,000 levels.
-_FAST_MAX_INDICATORS = 4096
+# libyaml's composer recurses in C and overflows an 8 MB stack at
+# 20,000-25,000 nesting levels; its event parser does not recurse.
+_FAST_MAX_DEPTH = 4096
 
 
 class _Alias(yaml.ScalarNode):
@@ -229,23 +229,43 @@ class _PureLoader(yaml.SafeLoader):
 
 
 def _fast_route(text: str) -> bool:
-    return (
-        _FAST_LOADER is not None
-        and not _PURE_ONLY.search(text)
-        and sum(map(text.count, "[{-:")) <= _FAST_MAX_INDICATORS
-    )
+    if _FAST_LOADER is None or _PURE_ONLY.search(text):
+        return False
+    # Every nesting level costs one of these indicators, so most texts need no event scan.
+    return sum(map(text.count, "[{-:")) <= _FAST_MAX_DEPTH or _shallow(text)
+
+
+def _shallow(text: str) -> bool:
+    """Whether libyaml reads text with no collection nested past _FAST_MAX_DEPTH."""
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=_FAST_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _FAST_MAX_DEPTH:
+                    return False
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    except yaml.YAMLError:
+        return False
+    return True
 
 
 def _load_tree(text: str, lines: dict[str, int], loader: type) -> Any:
+    too_deep = "not valid YAML: nested deeper than the parser's recursion limit"
     try:
         root = yaml.compose(text, Loader=loader)
-        if root is None:
-            raise ScenarioError("scenario document is empty")
-        return _walk(root, yaml.SafeLoader(""), "", lines)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"not valid YAML: {exc}") from exc
     except RecursionError:
-        raise ScenarioError("not valid YAML: nested deeper than the parser's recursion limit") from None
+        raise ScenarioError(too_deep) from None
+    # The pure scanner's chr() refuses an escape past U+10FFFF with a ValueError or OverflowError.
+    except (yaml.YAMLError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"not valid YAML: {exc}") from exc
+    if root is None:
+        raise ScenarioError("scenario document is empty")
+    try:
+        return _walk(root, yaml.SafeLoader(""), "", lines)
+    except RecursionError:
+        raise ScenarioError(too_deep) from None
 
 
 def _walk(node: yaml.Node, constructor: yaml.SafeLoader, path: str, lines: dict[str, int]) -> Any:

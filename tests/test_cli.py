@@ -112,8 +112,9 @@ sim:
         ("rtc:\n  alarm_period: !x 10min\n", "rtc.alarm_period (line 10): not a valid YAML value"),
         ("touch:\n  press_times: [2020-13-45]\n", "touch.press_times[0] (line 10): not a valid YAML"),
         ("meta: &a {name: *a}\n", "meta.name (line 9): YAML aliases are not supported"),
+        ('meta: {name: "\\UFFFFFFFF"}\n', "not valid YAML: Python int too large"),
     ],
-    ids=["non-finite", "overflow", "nan-knot", "unknown-tag", "bad-date", "alias"],
+    ids=["non-finite", "overflow", "nan-knot", "unknown-tag", "bad-date", "alias", "bad-escape"],
 )
 def test_validate_refuses_values_out_of_range(tmp_path, capsys, extra, where):
     bad = tmp_path / "bad.scenario"
