@@ -38,6 +38,8 @@ class StorageElement:
         # Comparisons are phrased so that a NaN fails them.
         if not self.capacity_mah > 0:
             raise ValueError("storage capacity must be positive")
+        if self.nominal_voltage.uv <= 0:
+            raise ValueError("nominal_voltage must be positive")
         if not 0.0 <= self.initial_soc <= 1.0:
             raise ValueError(f"initial_soc must lie in [0, 1], got {self.initial_soc}")
         curve = self.ocv_curve

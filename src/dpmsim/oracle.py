@@ -8,16 +8,22 @@ the two routes is what the validation suite asserts; for that reason
 this module must not import from the engine's numerical helpers, and
 duplicating small pieces of arithmetic here is intentional.
 
+One guard table, built at set-up, holds each mode's rising and falling
+energy guard: the stored energy at which it fires and the mode it leads
+to. Mode settling, the loop's due-check and its run-length cap all read
+it. DeepSleep's cold start, Shutdown's grace deadline (kept among the
+scheduled instants) and depletion of the store stay special cases.
+
 Ticks are applied in runs. Between two slow-path instants the per-tick
-increments are constant, so the loop takes the largest run of ticks in
+increments are constant, so the loop applies the largest run of ticks in
 which no check can fire and no increment can clamp (capped by the next
-scheduled instant, the Shutdown deadline, the run length, and two ticks
-short of the mode's energy guard in the direction the store moves) and
-applies it as one multiplied increment. Guards are still tested only at
-grid instants, the ticks next to a guard are still stepped one at a
-time, and `ticks` still counts grid steps. A multiplied increment does
-not accumulate the summation drift a per-tick sum picks up over long
-runs, which on fine grids can put a crossing many ticks late.
+scheduled instant, the run length, and two ticks short of cap, 0 or the
+guard the store moves towards) as one multiplied increment. The loop so
+iterates per slow-path instant and per tick next to a guard, not per
+tick; guards are still tested only at grid instants, and `ticks` still
+counts grid steps. A multiplied increment does not accumulate the drift
+a per-tick sum picks up over long runs, which on fine grids can put a
+crossing many ticks late.
 
 Grid restriction: every externally scheduled time in the scenario
 (alarms, touches, light changes, step durations, the grace window, the
@@ -44,6 +50,7 @@ from .scenario import Scenario, VariantKind
 _DEEP_SLEEP, _WAKE_UP, _NORMAL, _OVERCHARGE, _SHUTDOWN = range(5)
 _MODE_NAMES = ("deep_sleep", "wake_up", "normal", "overcharge", "shutdown")
 _FAR = 1 << 62
+_INF = float("inf")
 
 
 class OracleError(ValueError):
@@ -74,7 +81,7 @@ def _require_grid(us: int, dt: int, what: str) -> None:
 
 
 class _Oracle:
-    """One integration run; hot state lives in run_oracle()'s locals."""
+    """One integration run: its set-up, its run state and its slow paths."""
 
     def __init__(self, scenario: Scenario, dt: int):
         if dt <= 0:
@@ -108,6 +115,15 @@ class _Oracle:
         self.cold_v_uv = float(s.pmic.v_cold_start.uv)
         self.cold_p_nw = s.pmic.p_cold_start.nw
         self.grace_us = s.pmic.grace_window.us
+        # Per mode: (rise_e, rise_to, fall_e, fall_to). The rising guard
+        # fires once e >= rise_e, the falling one once e < fall_e.
+        self.guards = (
+            (_INF, _DEEP_SLEEP, -_INF, _DEEP_SLEEP),
+            (self.e_chrdy, _NORMAL, -_INF, _WAKE_UP),
+            (self.e_ovch, _OVERCHARGE, self.e_chrdy, _SHUTDOWN),
+            (_INF, _OVERCHARGE, self.e_ovch_exit, _NORMAL),
+            (self.e_chrdy, _NORMAL, -_INF, _SHUTDOWN),
+        )
 
         self.calib_lux = [p[0].lux for p in s.harvester.calibration]
         self.calib_nw = [p[1].nw for p in s.harvester.calibration]
@@ -129,7 +145,7 @@ class _Oracle:
         self.period_us = s.rtc.alarm_period.us
         self.rearm = s.rtc.rearm_on_clear
 
-        # Mutable run state (cold side).
+        # Mutable run state.
         self.e = s.storage.e_store.nj
         self.mode = _DEEP_SLEEP
         self.deadline = _FAR
@@ -142,23 +158,20 @@ class _Oracle:
         self.next_alarm = s.rtc.first_alarm.us
         self.ti = 0
         self.li = 0
-        self.lux = 0.0
         self.h_nw = 0.0
         self.v_harv_uv = 0.0
         self.cycles = 0
         self.harvested = 0.0
         self.consumed = 0.0
         self.discarded = 0.0
+        self.powered_ticks = 0
         self.cold_held = False
         self.step_consumed = [0.0] * self.n_steps
         self.cur_idx = -1
         self.step_started = 0
         self.transitions: list[tuple[int, str]] = []
         # Per-tick increments, refreshed whenever the power split changes.
-        self.p_net_tick = 0.0
-        self.h_tick = 0.0
-        self.c_tick = 0.0
-        self.disc_tick = 0.0
+        self.p_net_tick = self.h_tick = self.c_tick = self.disc_tick = 0.0
         self.next_event_t = 0
 
     # -- independent lookup arithmetic --------------------------------
@@ -200,6 +213,7 @@ class _Oracle:
     def _set_mode(self, t: int, mode: int) -> None:
         self.mode = mode
         self.transitions.append((t, _MODE_NAMES[mode]))
+        self.deadline = t + self.grace_us if mode == _SHUTDOWN else _FAR
         if mode == _DEEP_SLEEP:
             self.latch = False
 
@@ -217,34 +231,20 @@ class _Oracle:
                     self._set_mode(t, _WAKE_UP)
                     continue
                 return
-            if m == _WAKE_UP and e >= self.e_chrdy:
-                self._set_mode(t, _NORMAL)
-                continue
-            if m == _NORMAL:
-                if e >= self.e_ovch:
-                    self._set_mode(t, _OVERCHARGE)
-                    continue
-                if e < self.e_chrdy:
-                    self.deadline = t + self.grace_us
-                    self._set_mode(t, _SHUTDOWN)
-                    continue
-            if m == _OVERCHARGE and e < self.e_ovch_exit:
-                self._set_mode(t, _NORMAL)
-                continue
-            if m == _SHUTDOWN:
-                if e >= self.e_chrdy:
-                    self._set_mode(t, _NORMAL)
-                    continue
-                if t >= self.deadline:
-                    self._set_mode(t, _DEEP_SLEEP)
-                    continue
-            if e <= 0.0 and self.h_nw < self._drain_nw():
+            rise_e, rise_to, fall_e, fall_to = self.guards[m]
+            if e >= rise_e:
+                self._set_mode(t, rise_to)
+            elif e < fall_e:
+                self._set_mode(t, fall_to)
+            elif t >= self.deadline:  # Shutdown's grace has run out
+                self._set_mode(t, _DEEP_SLEEP)
+            elif e <= 0.0 and self.h_nw < self._drain_nw():
                 # Too dim to carry the rails yet bright enough for cold
                 # start would otherwise re-boot in place forever.
                 self.cold_held = True
                 self._set_mode(t, _DEEP_SLEEP)
-                continue
-            return
+            else:
+                return
         raise OracleError("mode settling did not converge")
 
     def _start_step(self, t: int) -> None:
@@ -295,14 +295,59 @@ class _Oracle:
             self.h_tick = h * dt / 1e6
             self.c_tick = d * dt / 1e6
             self.disc_tick = disc * dt / 1e6
-        pend = self.next_alarm
-        if self.ti < len(self.touches) and self.touches[self.ti] < pend:
-            pend = self.touches[self.ti]
-        if self.li < len(self.lights) and self.lights[self.li][0] < pend:
-            pend = self.lights[self.li][0]
-        if self.active and self.step_end < pend:
-            pend = self.step_end
+        # step_end and deadline sit at _FAR while no step or grace runs.
+        pend = min(self.next_alarm, self.step_end, self.deadline)
+        if self.ti < len(self.touches):
+            pend = min(pend, self.touches[self.ti])
+        if self.li < len(self.lights):
+            pend = min(pend, self.lights[self.li][0])
         self.next_event_t = pend
+
+    def _run_length(self, t: int, until: int) -> int:
+        """The ticks from t, where no check fired, to apply as one run. None
+        of them may fire a check or clamp an increment, so the run stops two
+        ticks short of the guard e moves towards, and of cap and 0."""
+        dt, p_net = self.dt, self.p_net_tick
+        k = (min(self.next_event_t, until) - t + dt - 1) // dt
+        rise_e, _, fall_e, _ = self.guards[self.mode]
+        if p_net > 0.0:
+            room = (min(rise_e, self.cap) - self.e) / p_net
+        elif p_net < 0.0:
+            room = (self.e - max(fall_e, 0.0)) / -p_net
+        else:
+            room = _INF
+        if room - 2.0 < k:
+            k = int(room) - 2
+        return k if k > 1 else 1
+
+    def _advance(self, t: int, k: int) -> int:
+        """Apply k ticks from instant t and return the instant they end at.
+        Only a single tick can reach cap or 0, so only it clamps."""
+        end = t + k * self.dt
+        if self.mode:
+            self.powered_ticks += k
+            self.e += k * self.p_net_tick
+            self.harvested += k * self.h_tick
+            self.consumed += k * self.c_tick
+            self.discarded += k * self.disc_tick
+            if k == 1:
+                if self.e >= self.cap:
+                    self.discarded += self.e - self.cap
+                    self.e = self.cap
+                elif self.e <= 0.0:
+                    self.consumed += self.e  # undo the part the store could not supply
+                    self.e = 0.0
+                    if self.p_net_tick < 0.0:
+                        self._resettle(end)
+        return end
+
+    def _take_lights(self, t: int) -> None:
+        while self.li < len(self.lights) and self.lights[self.li][0] == t:
+            lux = self.lights[self.li][1]
+            self.li += 1
+            self.cold_held = False
+            self.h_nw = self._harvest_nw(lux)
+            self.v_harv_uv = self.v_oc_uv if lux > 0.0 else 0.0
 
     def _slow(self, t: int) -> None:
         """Process everything due at instant t, in trigger-priority order."""
@@ -322,12 +367,7 @@ class _Oracle:
             self.active = False
             self.step_end = _FAR
             self._start_step(t)
-        while self.li < len(self.lights) and self.lights[self.li][0] == t:
-            self.lux = self.lights[self.li][1]
-            self.li += 1
-            self.cold_held = False
-            self.h_nw = self._harvest_nw(self.lux)
-            self.v_harv_uv = self.v_oc_uv if self.lux > 0.0 else 0.0
+        self._take_lights(t)
         self._settle(t)
         stage2 = self._sync_stage2(t, stage2)
         if self.clear_due:
@@ -346,10 +386,7 @@ class _Oracle:
         # The opening mode follows straight from the initial conditions,
         # mirroring the engine: a store that is already charged boots the
         # node regardless of light.
-        self.lux = self.lights[0][1]
-        self.li = 1
-        self.h_nw = self._harvest_nw(self.lux)
-        self.v_harv_uv = self.v_oc_uv if self.lux > 0.0 else 0.0
+        self._take_lights(0)
         if self.e >= self.e_ovch:
             self.mode = _OVERCHARGE
         elif self.e >= self.e_chrdy:
@@ -362,8 +399,7 @@ class _Oracle:
         self._refresh_ticks()
 
     def result(self, ticks: int, powered_ticks: int) -> OracleResult:
-        """Close the run at its duration; the hot loop has written back e
-        and the three ledgers."""
+        """Close the run at its duration."""
         duration = self.scenario.duration.us
         # Triggers scheduled exactly at the end still fire before the report.
         self._slow(duration)
@@ -393,106 +429,17 @@ class _Oracle:
 def run_oracle(scenario: Scenario, timestep: Duration = Duration(1000)) -> OracleResult:
     o = _Oracle(scenario, timestep.us)
     o.open()
-
-    dt = o.dt
-    duration = o.scenario.duration.us
+    duration = scenario.duration.us
     t = 0
-    e = o.e
-    mode = o.mode
-    cap = o.cap
-    e_chrdy, e_ovch, e_exit = o.e_chrdy, o.e_ovch, o.e_ovch_exit
-    deadline = o.deadline
-    p_net, h_tick, c_tick, disc_tick = o.p_net_tick, o.h_tick, o.c_tick, o.disc_tick
-    next_event = o.next_event_t
-    harvested = consumed = discarded = 0.0
-    ticks = 0
-    powered_ticks = 0
-
     while t < duration:
-        hit = False
-        if t == next_event:
-            hit = True
-        elif e <= 0.0 and p_net < 0.0:
-            hit = True
-        elif mode == _NORMAL:
-            hit = e >= e_ovch or e < e_chrdy
-        elif mode == _WAKE_UP:
-            hit = e >= e_chrdy
-        elif mode == _OVERCHARGE:
-            hit = e < e_exit
-        elif mode == _SHUTDOWN:
-            hit = e >= e_chrdy or t >= deadline
-        if hit:
-            o.e = e
-            o.harvested = harvested
-            o.consumed = consumed
-            o.discarded = discarded
+        rise_e, _, fall_e, _ = o.guards[o.mode]
+        if (t == o.next_event_t or o.e >= rise_e or o.e < fall_e
+                or (o.e <= 0.0 and o.p_net_tick < 0.0)):
             o._slow(t)
-            e, mode, deadline = o.e, o.mode, o.deadline
-            p_net, h_tick, c_tick, disc_tick = o.p_net_tick, o.h_tick, o.c_tick, o.disc_tick
-            next_event = o.next_event_t
-            harvested, consumed, discarded = o.harvested, o.consumed, o.discarded
+            t = o._advance(t, 1)
         else:
-            # No check fired at t, so k ticks from t can be applied at once
-            # when no check can fire at t + dt, ..., t + (k-1)*dt and no
-            # increment can clamp. An energy guard that e moves away from
-            # cannot fire; the one it moves towards caps k two ticks short
-            # of the exact bound, and so do cap and 0.
-            until = min(next_event, duration)
-            if mode == _SHUTDOWN:
-                until = min(until, deadline)
-            k = (until - t + dt - 1) // dt
-            if mode and p_net != 0.0:
-                if p_net > 0.0:
-                    bound = e_ovch if mode == _NORMAL else e_chrdy
-                    room = (min(bound, cap) - e) / p_net
-                else:
-                    bound = (e_chrdy if mode == _NORMAL
-                             else e_exit if mode == _OVERCHARGE else 0.0)
-                    room = (e - max(bound, 0.0)) / -p_net
-                if room - 2.0 < k:
-                    k = int(room) - 2
-            if k > 1:
-                t += k * dt
-                ticks += k
-                if mode:
-                    powered_ticks += k
-                    e += k * p_net
-                    harvested += k * h_tick
-                    consumed += k * c_tick
-                    discarded += k * disc_tick
-                continue
-
-        if mode:
-            powered_ticks += 1
-            e += p_net
-            harvested += h_tick
-            consumed += c_tick
-            discarded += disc_tick
-            if e >= cap:
-                discarded += e - cap
-                e = cap
-            elif e <= 0.0:
-                consumed += e  # undo the part the store could not supply
-                e = 0.0
-                if p_net < 0.0:
-                    o.e = e
-                    o.harvested = harvested
-                    o.consumed = consumed
-                    o.discarded = discarded
-                    o._resettle(t + dt)
-                    mode, deadline = o.mode, o.deadline
-                    p_net, h_tick, c_tick, disc_tick = (
-                        o.p_net_tick, o.h_tick, o.c_tick, o.disc_tick)
-                    next_event = o.next_event_t
-        t += dt
-        ticks += 1
-
-    o.e = e
-    o.harvested = harvested
-    o.consumed = consumed
-    o.discarded = discarded
-    return o.result(ticks, powered_ticks)
+            t = o._advance(t, o._run_length(t, duration))
+    return o.result(t // o.dt, o.powered_ticks)
 
 
 # -- comparison glue ---------------------------------------------------

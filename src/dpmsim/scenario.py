@@ -86,6 +86,8 @@ class DpmVariant:
             raise _FieldError("kind", "software_sleep requires i_sleep")
         if self.kind is VariantKind.HARDWARE_GATED and self.i_sleep is not None:
             raise _FieldError("i_sleep", "i_sleep only applies to software_sleep")
+        if self.i_sleep is not None and self.i_sleep.na < 0:
+            raise _FieldError("i_sleep", "i_sleep must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,12 @@ _PURE_ONLY = re.compile("[\t?!*\ufeff\ud800-\udfff]")
 _FAST_MAX_DEPTH = 4096
 
 
+class _TooDeep(ScenarioError):
+    """A nesting refusal. It is final on the libyaml route too: the pure
+    loader needs at least as many stack frames per level, so it would only
+    reach the same refusal, and slowly (it is quadratic in flow depth)."""
+
+
 class _Alias(yaml.ScalarNode):
     """An alias, which _walk refuses where it is used."""
 
@@ -256,7 +264,7 @@ def _load_tree(text: str, lines: dict[str, int], loader: type) -> Any:
     try:
         root = yaml.compose(text, Loader=loader)
     except RecursionError:
-        raise ScenarioError(too_deep) from None
+        raise _TooDeep(too_deep) from None
     # The pure scanner's chr() refuses an escape past U+10FFFF with a ValueError or OverflowError.
     except (yaml.YAMLError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"not valid YAML: {exc}") from exc
@@ -265,7 +273,7 @@ def _load_tree(text: str, lines: dict[str, int], loader: type) -> Any:
     try:
         return _walk(root, yaml.SafeLoader(""), "", lines)
     except RecursionError:
-        raise ScenarioError(too_deep) from None
+        raise _TooDeep(too_deep) from None
 
 
 def _walk(node: yaml.Node, constructor: yaml.SafeLoader, path: str, lines: dict[str, int]) -> Any:
@@ -508,6 +516,8 @@ def parse_scenario(text: str) -> Scenario:
     if _fast_route(text):
         try:
             return _parse(text, _FAST_LOADER)
+        except _TooDeep:
+            raise
         except ScenarioError:
             pass  # refused on the fast route: the pure route words the refusal
     return _parse(text, _PureLoader)

@@ -45,6 +45,22 @@ def test_run_writes_report_and_trace_files(tmp_path, case_study, capsys):
     assert trace.read_text() == format_trace(report)
 
 
+@pytest.mark.parametrize("period", ["1us", "2us"])
+def test_run_balances_the_ledger_over_dense_alarms(tmp_path, capsys, period):
+    # ~20,000 store updates of a few nJ each on a ~1.3e11 nJ store: each
+    # update rounds to the store's ulp (~1.5e-5 nJ) the same way, which
+    # the ledger check has to book rather than report as an imbalance.
+    text = Path(CASE_STUDY).read_text()
+    text = text.replace("alarm_period: 10min", f"alarm_period: {period}")
+    text = text.replace("  duration: 603535ms", "  duration: 20ms")
+    path = tmp_path / "dense.scenario"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("run summary: case-study-node\n")
+    assert captured.err == ""
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/nonexistent/node.scenario"]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -113,8 +129,17 @@ sim:
         ("touch:\n  press_times: [2020-13-45]\n", "touch.press_times[0] (line 10): not a valid YAML"),
         ("meta: &a {name: *a}\n", "meta.name (line 9): YAML aliases are not supported"),
         ('meta: {name: "\\UFFFFFFFF"}\n', "not valid YAML: Python int too large"),
+        (
+            "dpm_variant: {kind: software_sleep, i_sleep: -3uA}\n",
+            "dpm_variant.i_sleep (line 9): i_sleep must be non-negative",
+        ),
+        ("storage: {nominal_voltage: 0V}\n", "storage (line 9): nominal_voltage must be positive"),
+        ("storage: {nominal_voltage: -3.7V}\n", "storage (line 9): nominal_voltage must be positive"),
     ],
-    ids=["non-finite", "overflow", "nan-knot", "unknown-tag", "bad-date", "alias", "bad-escape"],
+    ids=[
+        "non-finite", "overflow", "nan-knot", "unknown-tag", "bad-date", "alias", "bad-escape",
+        "negative-i-sleep", "zero-nominal-voltage", "negative-nominal-voltage",
+    ],
 )
 def test_validate_refuses_values_out_of_range(tmp_path, capsys, extra, where):
     bad = tmp_path / "bad.scenario"

@@ -245,6 +245,18 @@ def test_parse_rejections(mangle, needle):
             "dpm_variant.i_sleep (line 13): i_sleep only applies to software_sleep",
         ),
         (
+            lambda d: d + "dpm_variant:\n  kind: software_sleep\n  i_sleep: -3uA\n",
+            "dpm_variant.i_sleep (line 14): i_sleep must be non-negative",
+        ),
+        (
+            lambda d: d + "storage:\n  nominal_voltage: 0V\n",
+            "storage (line 13): nominal_voltage must be positive",
+        ),
+        (
+            lambda d: d + "storage:\n  nominal_voltage: -3.7V\n",
+            "storage (line 13): nominal_voltage must be positive",
+        ),
+        (
             lambda d: d.replace("10min", "0s"),
             "sim.duration (line 11): must be positive",
         ),
@@ -255,7 +267,8 @@ def test_parse_rejections(mangle, needle):
     ],
     ids=[
         "rtc", "touch", "always_on", "load_step", "pmic", "harvester",
-        "duplicate_step", "variant_kind", "variant_i_sleep", "sim", "timeline",
+        "duplicate_step", "variant_kind", "variant_i_sleep", "negative_i_sleep",
+        "zero_nominal_voltage", "negative_nominal_voltage", "sim", "timeline",
     ],
 )
 def test_refusals_name_the_section_path_and_line(mangle, message):
@@ -383,6 +396,23 @@ def test_nested_aliases_are_refused_without_expanding_them(monkeypatch):
 def test_deep_nesting_is_refused(depth):
     with pytest.raises(ScenarioError) as err:
         parse_scenario("a:\n" + "- " * depth + "x\n")
+    assert str(err.value) == "not valid YAML: nested deeper than the parser's recursion limit"
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml is built without libyaml")
+@pytest.mark.parametrize(
+    "text", ["a: " + "[" * 3000 + "]" * 3000, "a:\n" + "- " * 1000 + "x\n"], ids=["flow", "block"]
+)
+def test_deep_nesting_on_the_libyaml_route_is_refused_there(monkeypatch, text):
+    # libyaml composes these, and walking the tree runs out of stack. The
+    # pure loader would only reach the same refusal, so it is not entered.
+    def pure_loader(*args):
+        raise AssertionError("the pure loader was entered")
+
+    assert scenario_module._fast_route(text)
+    monkeypatch.setattr(scenario_module, "_PureLoader", pure_loader)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
     assert str(err.value) == "not valid YAML: nested deeper than the parser's recursion limit"
 
 
