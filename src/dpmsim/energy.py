@@ -176,6 +176,10 @@ def harvest_voltage(model: HarvesterModel, lux: Illuminance) -> Voltage:
     return model.v_open_circuit if lux.lux > 0 else Voltage(0)
 
 
+# The ledger's name for the always-on rail's drain; no load step may take it.
+ALWAYS_ON_COMPONENT = "always_on"
+
+
 @dataclass(frozen=True)
 class AlwaysOnBudget:
     """Current budget of everything on the always-on rail."""

@@ -13,10 +13,10 @@ simultaneous triggers resolve the same way on every run: an RTC alarm
 and a touch press at the same microsecond both set the latch, and the
 alarm's record comes first in the trace.
 
-Exactly one threshold-crossing event is outstanding at any moment; it
-is recomputed from scratch after every dispatch because any dispatch
-may change the net power. A generation counter invalidates superseded
-crossings still sitting in the heap.
+Each queued event carries its kind's generation from when it was pushed,
+and one popped with another stamp is stale. Bumping a kind's generation
+cancels its queued events: a re-armed alarm, an aborted step, a grace
+window ended by a mode change, a crossing recomputed after a dispatch.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .energy import (
+    ALWAYS_ON_COMPONENT,
     _integrate,
     _store_uv,
     always_on_power,
@@ -38,8 +39,6 @@ from .energy import (
 from .pmic import Exit, Mode, cold_start, stage2, step_mode
 from .quantities import Duration, Energy, Illuminance, Power, Voltage
 from .scenario import Scenario, VariantKind
-
-ALWAYS_ON_COMPONENT = "always_on"
 
 # Safety valve; a healthy run dispatches a handful of events per wake cycle.
 _MAX_EVENTS = 10_000_000
@@ -175,12 +174,10 @@ class _State:
         self.v_harvest_uv = 0
         self.idle_nw = idle_power(scenario).nw
         self.steps = tuple(_Step(step.name, step.power.nw, step.duration.us) for step in scenario.load_script)
-        # The running step, if any, is always generation step_gen.
         self.active_step: _Step | None = None
         self.next_step_index = 0
-        self.step_gen = 0
-        self.threshold_gen = 0
-        self.alarm_gen = 0
+        # Per event kind, the generation that queued events must carry to be live.
+        self.gen = [0] * len(_KIND_LABEL)
         # A depleted store under light too weak to carry the always-on
         # rail would re-boot and brown out forever within one instant;
         # hold cold start off until the light actually changes.
@@ -207,9 +204,9 @@ class _State:
         self.cycle_harvested_nj = 0.0
         self.cycle_consumed_nj = 0.0
 
-    def push(self, t_us: int, kind: int, gen: int = 0, payload=None) -> None:
+    def push(self, t_us: int, kind: int, payload=None) -> None:
         self.seq += 1
-        heapq.heappush(self.queue, (t_us, kind, self.seq, gen, payload))
+        heapq.heappush(self.queue, (t_us, kind, self.seq, self.gen[kind], payload))
 
     def v_store_float(self, e_nj: float) -> float:
         return _store_uv(self.ocv_segments, e_nj, self.e_capacity_nj)
@@ -219,6 +216,7 @@ class _State:
 
     def set_mode(self, mode: Mode) -> None:
         """Enter a mode, closing the residency interval of the one it leaves."""
+        self.gen[_SHUTDOWN_GRACE_EXPIRE] += 1  # a grace window ends with its Shutdown
         self.time_in_mode[self.mode] += self.now - self.mode_since
         self.mode_since = self.now
         self.mode = mode
@@ -354,13 +352,13 @@ def _reschedule_threshold(state: _State) -> None:
     The crossing is the current mode's exit whose direction matches the
     sign of p_net; failing that, a draining store's depletion.
     """
-    state.threshold_gen += 1
+    state.gen[_THRESHOLD_CROSS] += 1
     mode = state.mode
     if mode is _DEEP_SLEEP:
         # Cold start is driven by the harvester, not the store; it can
         # only become true at a dispatch, so test it right here.
         if not state.cold_start_held and cold_start(state.scenario.pmic, state.v_harvest_uv, state.p_harvest_nw):
-            state.push(state.now, _THRESHOLD_CROSS, state.threshold_gen, _COLD_START)
+            state.push(state.now, _THRESHOLD_CROSS, _COLD_START)
         return
     p_nw = state.net_nw()
     if p_nw == 0.0:
@@ -377,7 +375,7 @@ def _reschedule_threshold(state: _State) -> None:
     if state.queue and t > state.queue[0][0]:
         # p_net cannot change before the next event; recompute then.
         return
-    state.push(t, _THRESHOLD_CROSS, state.threshold_gen, exit)
+    state.push(t, _THRESHOLD_CROSS, exit)
 
 
 # -- dispatch ----------------------------------------------------------
@@ -390,10 +388,10 @@ def _start_next_step(state: _State) -> None:
         state.push(state.now, _MCU_CLEAR_LATCH)
         return
     step = state.steps[state.next_step_index]
-    state.step_gen += 1
+    state.gen[_LOAD_STEP_COMPLETE] += 1
     state.active_step = step
     state.next_step_index += 1
-    state.push(state.now + step.duration_us, _LOAD_STEP_COMPLETE, state.step_gen)
+    state.push(state.now + step.duration_us, _LOAD_STEP_COMPLETE)
 
 
 def _abort_step(state: _State, why: str) -> None:
@@ -404,7 +402,7 @@ def _abort_step(state: _State, why: str) -> None:
         f"{state.active_step.name} lost power {why}; pro-rata energy already charged",
     )
     state.active_step = None
-    state.step_gen += 1
+    state.gen[_LOAD_STEP_COMPLETE] += 1
 
 
 def _flush_cycle(state: _State) -> None:
@@ -442,18 +440,8 @@ def _check_invariants(state: _State) -> None:
 
 def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
     """Apply one event. Returns False when the event is stale."""
-    if kind == _THRESHOLD_CROSS:
-        if gen != state.threshold_gen:
-            return False
-    elif kind == _LOAD_STEP_COMPLETE:
-        if state.active_step is None or gen != state.step_gen:
-            return False
-    elif kind == _SHUTDOWN_GRACE_EXPIRE:
-        if state.mode is not _SHUTDOWN or state.mode_since + state.scenario.pmic.grace_window.us != t_us:
-            return False
-    elif kind == _RTC_ALARM:
-        if gen != state.alarm_gen:
-            return False
+    if gen != state.gen[kind]:
+        return False
 
     # Stored energy only moves between dispatches.
     v_uv = state.v_store_uv()
@@ -489,7 +477,7 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
                 note_parts.append("compute_rail_unpowered_until_charged")
         else:
             note_parts.append("ignored_unpowered")
-        state.push(t_us + state.scenario.rtc.alarm_period.us, _RTC_ALARM, state.alarm_gen)
+        state.push(t_us + state.scenario.rtc.alarm_period.us, _RTC_ALARM)
 
     elif kind == _TOUCH_PRESS:
         if powered:
@@ -519,8 +507,8 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
             note_parts.append("latch_cleared")
             rtc = state.scenario.rtc
             if rtc.rearm_on_clear:
-                state.alarm_gen += 1
-                state.push(t_us + rtc.alarm_period.us, _RTC_ALARM, state.alarm_gen)
+                state.gen[_RTC_ALARM] += 1
+                state.push(t_us + rtc.alarm_period.us, _RTC_ALARM)
                 note_parts.append("alarm_rearmed")
 
     elif kind == _SIM_END:
@@ -545,9 +533,9 @@ def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
         new_mode = step_mode(mode, state.mode_since, cfg, v_uv, state.v_harvest_uv, state.p_harvest_nw, state.now)
         if new_mode is not mode:
             note_parts.append(f"mode={new_mode.value}")
+            state.set_mode(new_mode)
             if new_mode is _SHUTDOWN:
                 state.push(state.now + cfg.grace_window.us, _SHUTDOWN_GRACE_EXPIRE)
-            state.set_mode(new_mode)
 
     # Power loss wipes the latch: the latch logic lives on the rail that
     # just went down.
@@ -608,10 +596,10 @@ def run(scenario: Scenario) -> Report:
     # The first timeline entry is already in force before settling; only
     # actual changes become events.
     for t, lux in scenario.light_timeline[1:]:
-        state.push(t.us, _LIGHT_CHANGE, 0, lux)
+        state.push(t.us, _LIGHT_CHANGE, lux)
     for t in scenario.touch.press_times:
         state.push(t.us, _TOUCH_PRESS)
-    state.push(scenario.rtc.first_alarm.us, _RTC_ALARM, state.alarm_gen)
+    state.push(scenario.rtc.first_alarm.us, _RTC_ALARM)
     end_us = scenario.duration.us
     state.push(end_us, _SIM_END)
     # The opening mode needs its exit crossing on the queue; dispatches

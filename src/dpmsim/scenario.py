@@ -14,14 +14,15 @@ construction; a parse refusal adds the field path and source line.
 Where pyyaml has libyaml (CSafeLoader), it composes the node tree: a
 parse runs 4-5x faster than with the pure-Python SafeLoader. The two do
 not read every text alike: libyaml accepts a tab between tokens, a `?` in
-a plain scalar, a byte-order mark inside the text and tags that SafeLoader
-refuses, cannot take a lone surrogate, and recurses in C, so deep nesting
-overflows its stack. So libyaml composes only a text free of those
-characters and of aliases, nested at most 4,096 levels deep, and a text it
-refuses is parsed again with SafeLoader: every accepted scenario and every
-refusal message is SafeLoader's. Aliases are refused where they are used:
-no scenario needs one, and copying them out grows exponentially with their
-nesting.
+a plain scalar, a byte-order mark inside the text, a comment run into a
+block scalar's header and tags that SafeLoader refuses, cannot take a lone
+surrogate, and recurses in C, so deep nesting overflows its stack. So
+libyaml composes only a text free of those and of aliases, nested at most
+4,096 levels deep, and a text it cannot compose is composed again by
+SafeLoader, which words every YAML error. Every other refusal is final on
+whichever loader composed the text. Aliases are refused where they are
+used: no scenario needs one, and copying them out grows exponentially with
+their nesting.
 
 emit_scenario writes a canonical form (fixed key order, base units)
 such that parse(emit(s)) == s.
@@ -40,7 +41,7 @@ from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hin
 
 import yaml
 
-from .energy import AlwaysOnBudget, HarvesterModel, LoadStep, StorageElement
+from .energy import ALWAYS_ON_COMPONENT, AlwaysOnBudget, HarvesterModel, LoadStep, StorageElement
 from .pmic import PmicConfig
 from .quantities import Current, Duration, Energy, Fraction, Illuminance, Power, TimePoint, Voltage
 from .wake import RtcConfig, TouchScript
@@ -112,6 +113,8 @@ class Scenario:
         """The checks across sections; each section has checked itself."""
         names = [step.name for step in self.load_script]
         for i, name in enumerate(names):
+            if name == ALWAYS_ON_COMPONENT:
+                raise _FieldError(f"load_script[{i}]", f"load step name {name!r} is reserved for the always-on rail")
             if name in names[:i]:
                 raise _FieldError(f"load_script[{i}]", f"duplicate load step name {name!r}")
         if self.duration.us <= 0:
@@ -208,18 +211,13 @@ def quantity_text(q: Any) -> str:
 # --- YAML loading with source lines ------------------------------------
 
 _FAST_LOADER = getattr(yaml, "CSafeLoader", None)  # None without libyaml
-# Characters on which libyaml and SafeLoader may read a text differently,
-# or that libyaml cannot take (a lone surrogate does not encode to UTF-8).
-_PURE_ONLY = re.compile("[\t?!*\ufeff\ud800-\udfff]")
+# What libyaml may read otherwise than SafeLoader, or cannot take (a lone surrogate does not
+# encode to UTF-8): these characters, and a block scalar header run into a comment (">-#").
+# Each match starts in one character class, which keeps the search a fast scan.
+_PURE_ONLY = re.compile("[\t?!*\ufeff\ud800-\udfff|>](?:(?<=[|>])[-+0-9]*#|(?<![|>]))")
 # libyaml's composer recurses in C and overflows an 8 MB stack at
 # 20,000-25,000 nesting levels; its event parser does not recurse.
 _FAST_MAX_DEPTH = 4096
-
-
-class _TooDeep(ScenarioError):
-    """A nesting refusal. It is final on the libyaml route too: the pure
-    loader needs at least as many stack frames per level, so it would only
-    reach the same refusal, and slowly (it is quadratic in flow depth)."""
 
 
 class _Alias(yaml.ScalarNode):
@@ -259,21 +257,29 @@ def _shallow(text: str) -> bool:
     return True
 
 
-def _load_tree(text: str, lines: dict[str, int], loader: type) -> Any:
-    too_deep = "not valid YAML: nested deeper than the parser's recursion limit"
+def _compose(text: str) -> Any:
+    """The text's node tree; a YAML error is always worded by the pure loader."""
+    if _fast_route(text):
+        try:
+            return yaml.compose(text, Loader=_FAST_LOADER)
+        except yaml.YAMLError:
+            pass
     try:
-        root = yaml.compose(text, Loader=loader)
-    except RecursionError:
-        raise _TooDeep(too_deep) from None
+        return yaml.compose(text, Loader=_PureLoader)
     # The pure scanner's chr() refuses an escape past U+10FFFF with a ValueError or OverflowError.
     except (yaml.YAMLError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"not valid YAML: {exc}") from exc
-    if root is None:
-        raise ScenarioError("scenario document is empty")
+
+
+def _load_tree(text: str, lines: dict[str, int]) -> Any:
+    # The pure loader recurses per nesting level, and _walk does on either route.
     try:
+        root = _compose(text)
+        if root is None:
+            raise ScenarioError("scenario document is empty")
         return _walk(root, yaml.SafeLoader(""), "", lines)
     except RecursionError:
-        raise _TooDeep(too_deep) from None
+        raise ScenarioError("not valid YAML: nested deeper than the parser's recursion limit") from None
 
 
 def _walk(node: yaml.Node, constructor: yaml.SafeLoader, path: str, lines: dict[str, int]) -> Any:
@@ -513,19 +519,8 @@ def _section_dict(obj: Any) -> dict[str, Any]:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
-    if _fast_route(text):
-        try:
-            return _parse(text, _FAST_LOADER)
-        except _TooDeep:
-            raise
-        except ScenarioError:
-            pass  # refused on the fast route: the pure route words the refusal
-    return _parse(text, _PureLoader)
-
-
-def _parse(text: str, loader: type) -> Scenario:
     lines: dict[str, int] = {}
-    root = _Section(_load_tree(text, lines, loader), "", lines)
+    root = _Section(_load_tree(text, lines), "", lines)
     warnings: list[str] = []
 
     version = root.scalar("schema_version", _int)

@@ -135,10 +135,14 @@ sim:
         ),
         ("storage: {nominal_voltage: 0V}\n", "storage (line 9): nominal_voltage must be positive"),
         ("storage: {nominal_voltage: -3.7V}\n", "storage (line 9): nominal_voltage must be positive"),
+        (
+            "load_script:\n  - {name: always_on, duration: 1s, energy: 1mJ}\n",
+            "load_script[0] (line 10): load step name 'always_on' is reserved for the always-on rail",
+        ),
     ],
     ids=[
         "non-finite", "overflow", "nan-knot", "unknown-tag", "bad-date", "alias", "bad-escape",
-        "negative-i-sleep", "zero-nominal-voltage", "negative-nominal-voltage",
+        "negative-i-sleep", "zero-nominal-voltage", "negative-nominal-voltage", "reserved-step-name",
     ],
 )
 def test_validate_refuses_values_out_of_range(tmp_path, capsys, extra, where):

@@ -460,7 +460,7 @@ def test_a_crossing_dispatched_off_its_onset_raises(case_study):
     ovch_up = _exit(st, "ovch_up")
     st.e_store_nj = _soc_at_uv(st.ocv_segments, ovch_up.uv - 5) * st.e_capacity_nj
     with pytest.raises(SimulationError, match="dispatched 5 uV off target"):
-        _dispatch(st, 0, _THRESHOLD_CROSS, st.threshold_gen, ovch_up)
+        _dispatch(st, 0, _THRESHOLD_CROSS, st.gen[_THRESHOLD_CROSS], ovch_up)
 
 
 def test_a_clear_without_stage2_power_leaves_the_latch_set(case_study):
@@ -511,11 +511,30 @@ def test_shutdown_runs_its_grace_and_dies(case_study):
     # The grace window is exactly 600 ms.
     assert expiries[0].time_us - shutdowns[0].time_us == 600_000
     assert [a.code for a in r.anomalies] == ["load_step_aborted"]
+    # The aborted step's completion was cancelled with it.
+    assert not [rec for rec in r.trace if rec.kind == "load_step_complete"]
     assert r.final_mode == "deep_sleep"
     assert r.cycles_completed == 0
     # Nothing drains after the rails drop.
     last_e = expiries[0].e_store_nj
     assert r.e_store_final.nj == last_e
+
+
+def test_only_the_last_shutdown_entry_runs_its_grace_window(case_study):
+    # Marginal light drops the node into Shutdown and recovers it by
+    # crossing five times, then goes out: each recovery cancels the grace
+    # window its entry queued, and only the last one expires.
+    s = dataclasses.replace(
+        with_initial_soc(case_study, 0.05),
+        light_timeline=((TimePoint(0), Illuminance(4.83)), (TimePoint(100_000), Illuminance(0.0))),
+        duration=Duration(2_000_000),
+    )
+    r = run(s)
+    entries = [rec.time_us for rec in r.trace if "mode=shutdown" in rec.note]
+    assert len(entries) == 6 and entries[0] == 15_138 and entries[-1] == 86_889
+    expiries = [rec for rec in r.trace if rec.kind == "shutdown_grace_expire"]
+    assert [rec.time_us for rec in expiries] == [86_889 + 600_000]
+    assert expiries[0].mode == "deep_sleep"
 
 
 def test_empty_script_still_cycles(case_study):

@@ -142,6 +142,14 @@ PARSE_REJECTIONS = [
         + "  - {name: a, duration: 1s, energy: 1mJ}\n",
         "duplicate load step name",
     ),
+    # The ledger books the always-on rail's drain under this name.
+    (
+        lambda d: d
+        + "load_script:\n"
+        + "  - {name: a, duration: 1s, energy: 1mJ}\n"
+        + "  - {name: always_on, duration: 1s, energy: 1mJ}\n",
+        "load_script[1] (line 14): load step name 'always_on' is reserved for the always-on rail",
+    ),
     # Nothing computes with a step's supply rail, so a file that names one is
     # refused. The id is the one this case had while rail was an lv/hv field.
     pytest.param(
@@ -399,13 +407,27 @@ def test_deep_nesting_is_refused(depth):
     assert str(err.value) == "not valid YAML: nested deeper than the parser's recursion limit"
 
 
+TOO_DEEP = "not valid YAML: nested deeper than the parser's recursion limit"
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml is built without libyaml")
 @pytest.mark.parametrize(
-    "text", ["a: " + "[" * 3000 + "]" * 3000, "a:\n" + "- " * 1000 + "x\n"], ids=["flow", "block"]
+    "text, message",
+    [
+        ("a: " + "[" * 3000 + "]" * 3000, TOO_DEEP),
+        ("a:\n" + "- " * 1000 + "x\n", TOO_DEEP),
+        (MINIMAL + "unknown_top: 1\n", "unknown_top (line 12): unknown field"),
+        (
+            MINIMAL.replace("v_ovch: 4V", "v_ovch: 4parsecs"),
+            "pmic.v_ovch (line 5): '4parsecs' is not a voltage (expected a suffix from: V, mV, uV)",
+        ),
+        (MINIMAL + "sim:\n  duration: 5min\n", "line 12: duplicate key 'sim'"),
+    ],
+    ids=["flow", "block", "unknown-key", "bad-suffix", "duplicate-key"],
 )
-def test_deep_nesting_on_the_libyaml_route_is_refused_there(monkeypatch, text):
-    # libyaml composes these, and walking the tree runs out of stack. The
-    # pure loader would only reach the same refusal, so it is not entered.
+def test_refusals_on_the_libyaml_route_are_final(monkeypatch, text, message):
+    # libyaml composes these, and the refusal comes from reading its tree:
+    # the pure loader would compose the same tree, so it is not entered.
     def pure_loader(*args):
         raise AssertionError("the pure loader was entered")
 
@@ -413,7 +435,7 @@ def test_deep_nesting_on_the_libyaml_route_is_refused_there(monkeypatch, text):
     monkeypatch.setattr(scenario_module, "_PureLoader", pure_loader)
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
-    assert str(err.value) == "not valid YAML: nested deeper than the parser's recursion limit"
+    assert str(err.value) == message
 
 
 # Characters on which libyaml and the pure-Python loader have been seen to
@@ -424,7 +446,7 @@ MUTATION_ALPHABET = [
 ]
 
 # Texts that libyaml alone accepts or reads otherwise, or cannot take: one
-# for each character that keeps a text off the libyaml route.
+# for each character or sequence that keeps a text off the libyaml route.
 LIBYAML_DIVERGENT = [
     MINIMAL.replace("v_ovch: 4V", "v_ovch:\t4V"),
     MINIMAL + "meta: {name: a?b}\n",
@@ -432,6 +454,7 @@ LIBYAML_DIVERGENT = [
     MINIMAL + "meta: {name: !!str, description: x}\n",
     MINIMAL + "meta: {name: &n x, description: *n}\n",
     MINIMAL + "meta:\n  name: a\ud800\n",
+    MINIMAL + "meta:\n  description: >-# a comment\n    x\n",
 ]
 
 
