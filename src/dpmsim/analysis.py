@@ -139,7 +139,7 @@ def compare_dpm(report_a: Report, report_b: Report) -> ComparisonReport:
 
 
 class SweepError(ValueError):
-    """The sweep bracket does not straddle the target."""
+    """The sweep bracket does not straddle the target, or a probe cannot tell."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,14 @@ def _probe_net(scenario: Scenario, lux: float) -> float:
     report = run(with_constant_light(scenario, lux))
     if not report.cycles:
         raise SweepError(f"probe at {lux} lux completed no accounting cycle")
-    return report.cycles[-1].net_nj
+    last = report.cycles[-1]
+    # A node that died before its last cycle books no flow at all there;
+    # its net of 0 nJ says nothing about breakeven.
+    if last.harvested_nj == 0.0 and last.consumed_nj == 0.0:
+        raise SweepError(
+            f"probe at {lux} lux ended unpowered in {report.final_mode}: its last cycle booked no energy flow"
+        )
+    return last.net_nj
 
 
 def sweep_lux(
@@ -178,7 +185,8 @@ def sweep_lux(
     The probe at each level is a full simulation under constant light;
     the figure read out is the net of the last accounting cycle. The
     bracket must straddle zero, except that a bound already sitting at
-    zero is returned as the answer directly.
+    zero is returned as the answer directly. A probe whose last cycle
+    booked no energy flow at all, a node that ended unpowered, is refused.
     """
     # Comparisons are phrased so that a NaN fails them.
     if not 0.0 <= lo.lux < hi.lux < math.inf:

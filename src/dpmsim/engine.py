@@ -7,6 +7,16 @@ onset energy, and queued as an event instead of being hunted with fixed
 time steps. Replaying a scenario therefore produces byte-identical
 traces and reports.
 
+run() is one event loop over plain locals: the clock, the stored energy,
+the mode (a small int from pmic), the latch, the running step, the queue
+generations, the ledger and the open cycle's sums. Each exit's onset
+energy is looked up once per run. The checks of the engine's contracts
+run inside the loop, on plain numbers: time never runs backwards, a
+crossing lands on its onset, a step runs only under Stage2, the store
+stays within [0, capacity], the event budget holds; at the end the mode
+residency covers the run and the energy ledger balances. Each dispatch
+appends one TraceRecord, a NamedTuple.
+
 Event ordering is total: (time, kind priority, insertion sequence).
 Kind priority follows the order of _KIND_LABEL below, so
 simultaneous triggers resolve the same way on every run: an RTC alarm
@@ -23,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,8 +47,19 @@ from .energy import (
     harvest_voltage,
     power_of,
 )
-from .pmic import Exit, Mode, cold_start, stage2, step_mode
-from .quantities import Duration, Energy, Illuminance, Power, Voltage
+from .pmic import (
+    DEEP_SLEEP,
+    MODE_NAMES,
+    OVERCHARGE,
+    SHUTDOWN,
+    WAKE_UP,
+    Exit,
+    PmicConfig,
+    cold_start,
+    stage2,
+    step_mode,
+)
+from .quantities import Duration, Energy, Power, Voltage
 from .scenario import Scenario, VariantKind
 
 # Safety valve; a healthy run dispatches a handful of events per wake cycle.
@@ -58,20 +80,15 @@ _KIND_LABEL = (
  _SHUTDOWN_GRACE_EXPIRE, _LIGHT_CHANGE, _MCU_CLEAR_LATCH, _SIM_END) = range(len(_KIND_LABEL))
 
 
-# Enum member lookups go through the enum metaclass; the per-event paths
-# compare against these module-level names instead.
-_DEEP_SLEEP, _WAKE_UP, _NORMAL, _OVERCHARGE, _SHUTDOWN = Mode
-
 # The two threshold events that no stored-voltage exit in the PMIC's
 # table covers: cold start reads the harvester (pmic.cold_start), and
 # depletion is the store reaching zero energy (its onset is 0 nJ), which
 # the engine forces. Neither has a voltage, so their uv is never read.
-_COLD_START = Exit("cold_start", 0, True, _WAKE_UP)
-_DEPLETED = Exit("depleted", 0, False, _DEEP_SLEEP)
+_COLD_START = Exit("cold_start", 0, True, WAKE_UP)
+_DEPLETED = Exit("depleted", 0, False, DEEP_SLEEP)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     time_us: int
     kind: str
     mode: str
@@ -153,141 +170,7 @@ class _Step(NamedTuple):
     name: str
     power_nw: float
     duration_us: int
-
-
-class _State:
-    """Mutable state of one run, in plain numbers; engine-internal."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        storage = scenario.storage
-        self.now = 0
-        self.mode = _DEEP_SLEEP
-        # Also the start of Shutdown's grace window while in Shutdown.
-        self.mode_since = 0
-        self.latch_set = False
-        self.ocv_segments = storage.ocv_segments
-        self.e_capacity_nj = storage.e_capacity.nj
-        self.e_store_nj = storage.e_store.nj
-        self.exits = scenario.pmic.exits
-        self.p_harvest_nw = 0.0
-        self.v_harvest_uv = 0
-        self.idle_nw = idle_power(scenario).nw
-        self.steps = tuple(_Step(step.name, step.power.nw, step.duration.us) for step in scenario.load_script)
-        self.active_step: _Step | None = None
-        self.next_step_index = 0
-        # Per event kind, the generation that queued events must carry to be live.
-        self.gen = [0] * len(_KIND_LABEL)
-        # A depleted store under light too weak to carry the always-on
-        # rail would re-boot and brown out forever within one instant;
-        # hold cold start off until the light actually changes.
-        self.cold_start_held = False
-        # Heap entries: (time_us, kind, seq, gen, payload).
-        self.queue: list[tuple] = []
-        self.seq = 0
-        self.events_dispatched = 0
-        # Ledger.
-        self.e_harvested_nj = 0.0
-        self.consumed_nj: dict[str, float] = {ALWAYS_ON_COMPONENT: 0.0}
-        for step in scenario.load_script:
-            self.consumed_nj[step.name] = 0.0
-        self.e_discarded_nj = 0.0
-        # What rounding each store update to the store's own ulp left out.
-        self.e_rounding_nj = 0.0
-        self.time_in_mode = {mode: 0 for mode in Mode}
-        self.cycles_completed = 0
-        self.anomalies: list[Anomaly] = []
-        self.trace: list[TraceRecord] = []
-        # Per-cycle accumulation.
-        self.cycles: list[CycleRow] = []
-        self.cycle_start_us = 0
-        self.cycle_harvested_nj = 0.0
-        self.cycle_consumed_nj = 0.0
-
-    def push(self, t_us: int, kind: int, payload=None) -> None:
-        self.seq += 1
-        heapq.heappush(self.queue, (t_us, kind, self.seq, self.gen[kind], payload))
-
-    def v_store_float(self, e_nj: float) -> float:
-        return _store_uv(self.ocv_segments, e_nj, self.e_capacity_nj)
-
-    def v_store_uv(self) -> int:
-        return round(_store_uv(self.ocv_segments, self.e_store_nj, self.e_capacity_nj))
-
-    def set_mode(self, mode: Mode) -> None:
-        """Enter a mode, closing the residency interval of the one it leaves."""
-        self.gen[_SHUTDOWN_GRACE_EXPIRE] += 1  # a grace window ends with its Shutdown
-        self.time_in_mode[self.mode] += self.now - self.mode_since
-        self.mode_since = self.now
-        self.mode = mode
-
-    def net_nw(self) -> float:
-        """Rate into the store in nW for the current state."""
-        mode = self.mode
-        if mode is _DEEP_SLEEP:
-            return 0.0
-        drain = self.idle_nw
-        if self.active_step is not None:
-            drain += self.active_step.power_nw
-        if mode is _OVERCHARGE:
-            # Charging is held off: harvest feeds the load first and the
-            # surplus is rejected; the store only discharges.
-            return min(0.0, self.p_harvest_nw - drain)
-        return self.p_harvest_nw - drain
-
-    def record_anomaly(self, code: str, detail: str) -> None:
-        self.anomalies.append(Anomaly(self.now, code, detail))
-
-
-# -- integration -----------------------------------------------------
-
-
-def _advance_to(state: _State, t_us: int) -> None:
-    """Integrate all constant power flows from state.now to t_us."""
-    if t_us < state.now:
-        raise SimulationError(f"time must not run backwards ({state.now} -> {t_us})")
-    dt_us = t_us - state.now
-    if dt_us == 0:
-        return
-    to_store_nw = state.net_nw()
-    if state.mode is not _DEEP_SLEEP:
-        harvest_nw = state.p_harvest_nw
-        harvest_e = harvest_nw * dt_us / 1e6
-        state.e_harvested_nj += harvest_e
-        state.cycle_harvested_nj += harvest_e
-        drain_nw = state.idle_nw
-        idle_e = drain_nw * dt_us / 1e6
-        state.consumed_nj[ALWAYS_ON_COMPONENT] += idle_e
-        state.cycle_consumed_nj += idle_e
-        step = state.active_step
-        if step is not None:
-            drain_nw += step.power_nw
-            step_e = step.power_nw * dt_us / 1e6
-            state.consumed_nj[step.name] += step_e
-            state.cycle_consumed_nj += step_e
-        if state.mode is _OVERCHARGE:
-            state.e_discarded_nj += max(0.0, harvest_nw - drain_nw) * dt_us / 1e6
-
-    e_old = state.e_store_nj
-    state.e_store_nj, clipped_high, clipped_low = _integrate(
-        e_old, state.e_capacity_nj, to_store_nw, dt_us
-    )
-    # TwoSum (Knuth, TAOCP 2, 4.2.2): the exact error of e_old + added as
-    # _integrate rounds it. The store's ulp is ~1e-5 nJ at full scale, so
-    # on runs of many tiny events this error outgrows the flows' tolerance.
-    added = to_store_nw * dt_us / 1_000_000
-    total = e_old + added
-    added_part = total - e_old
-    state.e_rounding_nj += (e_old - (total - added_part)) + (added - added_part)
-    if clipped_high > 0.0:
-        # Physical ceiling; rejected exactly like an overcharge clamp.
-        state.e_discarded_nj += clipped_high
-    if clipped_low > 0.0:
-        # Only float dust can land here (the depletion crossing fires at
-        # zero); undo the overstated drain so the ledger stays balanced.
-        state.consumed_nj[ALWAYS_ON_COMPONENT] -= clipped_low
-        state.cycle_consumed_nj -= clipped_low
-    state.now = t_us
+    slot: int  # the step's entry in the run's consumption ledger
 
 
 # -- threshold crossing prediction ------------------------------------
@@ -302,8 +185,6 @@ def _onset_nj(segments: tuple[tuple[float, int, float, int], ...], capacity_nj: 
     (v_empty, v_full] reads differently on an empty and a full store, so
     the guard itself bisects the floats between the two.
     """
-    if exit is _DEPLETED:
-        return 0.0
     lo, hi = 0.0, capacity_nj
     while lo < (mid := (lo + hi) / 2) < hi:
         onset_below = exit.holds(round(_store_uv(segments, mid, capacity_nj))) is exit.rising
@@ -311,30 +192,44 @@ def _onset_nj(segments: tuple[tuple[float, int, float, int], ...], capacity_nj: 
     return hi if exit.rising else lo
 
 
-def find_threshold_crossing(state: _State, exit: Exit) -> int | None:
-    """Earliest microsecond at which the exit's guard becomes true.
+def _aims(cfg: PmicConfig, segments: tuple[tuple[float, int, float, int], ...], capacity_nj: float) -> tuple:
+    """Per mode, indexed by whether the store rises: the exit the crossing
+    solver aims at and its onset energy.
 
-    Returns None when the net power points away from the exit. The guard
-    holds from its onset energy on, so the solve works on energies alone:
-    it estimates the time to the onset and settles it on the stored
-    energy _advance_to will reach, e0 + p_net * (t - now) / 1e6.
+    The aim is the mode's first exit in that direction; failing that, a
+    draining store's depletion, for which the solver returns None unless
+    the store falls.
     """
-    p_nw = state.net_nw()
-    e0 = state.e_store_nj
-    now = state.now
-    onset = _onset_nj(state.ocv_segments, state.e_capacity_nj, exit)
-    sign = 1.0 if exit.rising else -1.0
-    if sign * e0 >= sign * onset:
-        return now
+    aims = []
+    for exits in cfg.exits:
+        aim = [(_DEPLETED, 0.0), (_DEPLETED, 0.0)]
+        for exit in reversed(exits):  # so that the first exit of a direction is kept
+            aim[exit.rising] = (exit, _onset_nj(segments, capacity_nj, exit))
+        aims.append(tuple(aim))
+    return tuple(aims)
+
+
+def find_threshold_crossing(now_us: int, e_nj: float, p_nw: float, onset_nj: float, rising: bool) -> int | None:
+    """Earliest microsecond at which a guard with this onset becomes true.
+
+    Returns None when the net power p_nw points away from the onset. The
+    guard holds from its onset energy on, so the solve works on energies
+    alone: it estimates the time to the onset and settles it on the
+    stored energy the run's integration will reach,
+    e_nj + p_nw * (t - now_us) / 1e6.
+    """
+    sign = 1.0 if rising else -1.0
+    if sign * e_nj >= sign * onset_nj:
+        return now_us
     if sign * p_nw <= 0.0:
         return None
 
     def reached(t: int) -> bool:
-        return sign * (e0 + p_nw * (t - now) / 1e6) >= sign * onset
+        return sign * (e_nj + p_nw * (t - now_us) / 1e6) >= sign * onset_nj
 
     # The estimate misses by up to half an ulp of e over p_net's per-us
     # step; e(t) is monotone, so widen a bracket around it, then bisect.
-    hi = now + max(1, math.ceil((onset - e0) / p_nw * 1e6))
+    hi = now_us + max(1, math.ceil((onset_nj - e_nj) / p_nw * 1e6))
     lo = hi - 1
     while not reached(hi):
         lo, hi = hi, 3 * hi - 2 * lo
@@ -346,225 +241,39 @@ def find_threshold_crossing(state: _State, exit: Exit) -> int | None:
     return hi
 
 
-def _reschedule_threshold(state: _State) -> None:
-    """Keep exactly one live threshold-crossing event outstanding.
+# -- contract checks ----------------------------------------------------
 
-    The crossing is the current mode's exit whose direction matches the
-    sign of p_net; failing that, a draining store's depletion.
+
+def _check_landing(
+    exit: Exit, v_uv: int, segments: tuple[tuple[float, int, float, int], ...], capacity_nj: float,
+    e_nj: float, p_nw: float,
+) -> None:
+    """Freshness contract for a dispatched stored-voltage crossing.
+
+    A live crossing lands on the first reading at which its guard holds,
+    within 1 uV plus what the store moved in the last us (a store filling
+    in under 1 us overshoots by the rest of that us).
     """
-    state.gen[_THRESHOLD_CROSS] += 1
-    mode = state.mode
-    if mode is _DEEP_SLEEP:
-        # Cold start is driven by the harvester, not the store; it can
-        # only become true at a dispatch, so test it right here.
-        if not state.cold_start_held and cold_start(state.scenario.pmic, state.v_harvest_uv, state.p_harvest_nw):
-            state.push(state.now, _THRESHOLD_CROSS, _COLD_START)
-        return
-    p_nw = state.net_nw()
-    if p_nw == 0.0:
-        return
-    rising = p_nw > 0.0
-    for exit in state.exits[mode]:
-        if exit.rising is rising:
-            break
-    else:
-        exit = _DEPLETED  # the solver returns None for it unless p_net < 0
-    t = find_threshold_crossing(state, exit)
-    if t is None:
-        return
-    if state.queue and t > state.queue[0][0]:
-        # p_net cannot change before the next event; recompute then.
-        return
-    state.push(t, _THRESHOLD_CROSS, exit)
+    off_uv = abs(v_uv - (exit.uv if exit.rising else exit.uv - 1))
+    if off_uv > 1:
+        moved_uv = abs(_store_uv(segments, e_nj, capacity_nj) - _store_uv(segments, e_nj - p_nw / 1e6, capacity_nj))
+        if off_uv > 1 + moved_uv:
+            raise SimulationError(f"threshold crossing dispatched {off_uv} uV off target")
 
 
-# -- dispatch ----------------------------------------------------------
-
-
-def _start_next_step(state: _State) -> None:
-    if state.next_step_index >= len(state.steps):
-        # Work complete: firmware clears the latch to drop back to Stage1.
-        state.cycles_completed += 1
-        state.push(state.now, _MCU_CLEAR_LATCH)
-        return
-    step = state.steps[state.next_step_index]
-    state.gen[_LOAD_STEP_COMPLETE] += 1
-    state.active_step = step
-    state.next_step_index += 1
-    state.push(state.now + step.duration_us, _LOAD_STEP_COMPLETE)
-
-
-def _abort_step(state: _State, why: str) -> None:
-    if state.active_step is None:
-        return
-    state.record_anomaly(
-        "load_step_aborted",
-        f"{state.active_step.name} lost power {why}; pro-rata energy already charged",
-    )
-    state.active_step = None
-    state.gen[_LOAD_STEP_COMPLETE] += 1
-
-
-def _flush_cycle(state: _State) -> None:
-    if state.now == state.cycle_start_us and state.cycle_harvested_nj == 0.0 and state.cycle_consumed_nj == 0.0:
-        return
-    state.cycles.append(
-        CycleRow(
-            index=len(state.cycles),
-            start_us=state.cycle_start_us,
-            consumed_nj=state.cycle_consumed_nj,
-            harvested_nj=state.cycle_harvested_nj,
-            net_nj=state.cycle_harvested_nj - state.cycle_consumed_nj,
-            end_soc=state.e_store_nj / state.e_capacity_nj,
-        )
-    )
-    state.cycle_start_us = state.now
-    state.cycle_harvested_nj = 0.0
-    state.cycle_consumed_nj = 0.0
-
-
-def _set_lux(state: _State, lux: Illuminance) -> None:
-    state.p_harvest_nw = harvest_power(state.scenario.harvester, lux).nw
-    state.v_harvest_uv = harvest_voltage(state.scenario.harvester, lux).uv
-
-
-def _check_invariants(state: _State) -> None:
+def _check_invariants(step: _Step | None, stage2_on: bool, e_nj: float, capacity_nj: float) -> None:
     # Steps start and stop on Stage2 edges; one left running means an
     # edge was missed.
-    if state.active_step is not None and not stage2(state.mode, state.latch_set):
-        raise SimulationError(f"load step {state.active_step.name!r} running without Stage2 power")
-    e = state.e_store_nj
-    if not 0.0 <= e <= state.e_capacity_nj:
-        raise SimulationError(f"stored energy {e} nJ outside [0, capacity]")
-
-
-def _dispatch(state: _State, t_us: int, kind: int, gen: int, payload) -> bool:
-    """Apply one event. Returns False when the event is stale."""
-    if gen != state.gen[kind]:
-        return False
-
-    # Stored energy only moves between dispatches.
-    v_uv = state.v_store_uv()
-    note_parts: list[str] = []
-    label = _KIND_LABEL[kind]
-    exit = None
-    if kind == _THRESHOLD_CROSS:
-        exit = payload
-        label = "threshold_cross:" + exit.label
-        if exit is not _COLD_START and exit is not _DEPLETED:
-            # Freshness contract: a live crossing lands on the first
-            # reading at which its guard holds, within 1 uV plus what the
-            # store moved in the last us (a store filling in under 1 us
-            # overshoots by the rest of that us).
-            off_uv = abs(v_uv - (exit.uv if exit.rising else exit.uv - 1))
-            if off_uv > 1:
-                e = state.e_store_nj
-                if off_uv > 1 + abs(state.v_store_float(e) - state.v_store_float(e - state.net_nw() / 1e6)):
-                    raise SimulationError(f"threshold crossing dispatched {off_uv} uV off target")
-
-    mode = state.mode
-    powered = mode is not _DEEP_SLEEP
-    stage2_before = stage2(mode, state.latch_set)
-
-    if kind == _RTC_ALARM:
-        _flush_cycle(state)
-        if powered:
-            state.latch_set = True
-            note_parts.append("latch_set=rtc")
-            if mode is _SHUTDOWN:
-                note_parts.append("compute_rail_unpowered_until_recovery")
-            elif mode is _WAKE_UP:
-                note_parts.append("compute_rail_unpowered_until_charged")
-        else:
-            note_parts.append("ignored_unpowered")
-        state.push(t_us + state.scenario.rtc.alarm_period.us, _RTC_ALARM)
-
-    elif kind == _TOUCH_PRESS:
-        if powered:
-            state.latch_set = True
-            note_parts.append("latch_set=touch")
-        else:
-            note_parts.append("ignored_unpowered")
-
-    elif kind == _LOAD_STEP_COMPLETE:
-        note_parts.append(f"step_done={state.active_step.name}")
-        state.active_step = None
-        _start_next_step(state)
-
-    elif kind == _LIGHT_CHANGE:
-        _set_lux(state, payload)
-        state.cold_start_held = False
-        note_parts.append(f"lux={payload.lux!r}")
-
-    elif kind == _MCU_CLEAR_LATCH:
-        if not stage2_before:
-            # The compute domain lost power in the same microsecond the
-            # clear was issued; the latch keeps its state.
-            state.record_anomaly("clear_skipped_unpowered", "latch clear arrived without Stage2 power")
-            note_parts.append("clear_skipped_unpowered")
-        else:
-            state.latch_set = False
-            note_parts.append("latch_cleared")
-            rtc = state.scenario.rtc
-            if rtc.rearm_on_clear:
-                state.gen[_RTC_ALARM] += 1
-                state.push(t_us + rtc.alarm_period.us, _RTC_ALARM)
-                note_parts.append("alarm_rearmed")
-
-    elif kind == _SIM_END:
-        _flush_cycle(state)
-
-    # One mode-machine step per dispatch; cascades arrive as immediate
-    # threshold-crossing events scheduled by the recompute below. The
-    # grace expiry itself is resolved here too.
-    if exit is _DEPLETED:
-        if mode is not _DEEP_SLEEP:
-            state.record_anomaly("storage_depleted", f"store empty in {mode.value}; forced deep sleep")
-            state.set_mode(_DEEP_SLEEP)
-            state.cold_start_held = True
-            note_parts.append("forced_deep_sleep;cold_start_held_until_light_change")
-    elif mode is _DEEP_SLEEP and state.cold_start_held:
-        # Deep sleep's only exit is cold start; while that is held off the
-        # step is an identity, and taking it would re-boot into the same
-        # brown-out the hold exists to break.
-        pass
-    else:
-        cfg = state.scenario.pmic
-        new_mode = step_mode(mode, state.mode_since, cfg, v_uv, state.v_harvest_uv, state.p_harvest_nw, state.now)
-        if new_mode is not mode:
-            note_parts.append(f"mode={new_mode.value}")
-            state.set_mode(new_mode)
-            if new_mode is _SHUTDOWN:
-                state.push(state.now + cfg.grace_window.us, _SHUTDOWN_GRACE_EXPIRE)
-
-    # Power loss wipes the latch: the latch logic lives on the rail that
-    # just went down.
-    if state.mode is _DEEP_SLEEP and state.latch_set:
-        state.latch_set = False
-        note_parts.append("latch_lost_power")
-
-    stage2_after = stage2(state.mode, state.latch_set)
-    if stage2_after and not stage2_before:
-        state.next_step_index = 0
-        _start_next_step(state)
-        note_parts.append("stage2_entered")
-    elif stage2_before and not stage2_after:
-        _abort_step(state, f"(mode {state.mode.value})" if state.latch_set else "(latch cleared)")
-        note_parts.append("stage2_exited")
-
-    _reschedule_threshold(state)
-    _check_invariants(state)
-
-    state.trace.append(
-        TraceRecord(t_us, label, state.mode.value, state.latch_set, v_uv, state.e_store_nj, ";".join(note_parts))
-    )
-    return True
+    if step is not None and not stage2_on:
+        raise SimulationError(f"load step {step.name!r} running without Stage2 power")
+    if not 0.0 <= e_nj <= capacity_nj:
+        raise SimulationError(f"stored energy {e_nj} nJ outside [0, capacity]")
 
 
 # -- top level ---------------------------------------------------------
 
 
-def _settle_initial_mode(state: _State) -> None:
+def _settle_initial_mode(cfg: PmicConfig, v_uv: int, v_harvest_uv: int, p_harvest_nw: float) -> int:
     """Derive the mode the node is actually in at t=0.
 
     The run opens on a node that has been sitting under the first light
@@ -576,92 +285,318 @@ def _settle_initial_mode(state: _State) -> None:
     also keeps a wake trigger scheduled exactly at t=0 from outranking
     the t=0 light sample and landing unpowered.
     """
-    cfg = state.scenario.pmic
-    v_uv = state.v_store_uv()
-    mode = _WAKE_UP
-    while (stepped := step_mode(mode, 0, cfg, v_uv, state.v_harvest_uv, state.p_harvest_nw, 0)) is not mode:
+    mode = WAKE_UP
+    while (stepped := step_mode(mode, 0, cfg, v_uv, v_harvest_uv, p_harvest_nw, 0)) != mode:
         mode = stepped
-    if mode is _WAKE_UP and not cold_start(cfg, state.v_harvest_uv, state.p_harvest_nw):
-        mode = _DEEP_SLEEP
-    state.mode = mode
+    if mode == WAKE_UP and not cold_start(cfg, v_harvest_uv, p_harvest_nw):
+        mode = DEEP_SLEEP
+    return mode
 
 
 def run(scenario: Scenario) -> Report:
     """Simulate a scenario to completion and return its report."""
-    state = _State(scenario)
-    _set_lux(state, scenario.light_timeline[0][1])
-    _settle_initial_mode(state)
-    state.trace.append(TraceRecord(0, "init", state.mode.value, state.latch_set, state.v_store_uv(),
-                                   state.e_store_nj, "settled_from_initial_conditions"))
+    cfg = scenario.pmic
+    harvester = scenario.harvester
+    segments = scenario.storage.ocv_segments
+    capacity = scenario.storage.e_capacity.nj
+    e_initial = scenario.storage.e_store.nj
+    alarm_period = scenario.rtc.alarm_period.us
+    rearm_on_clear = scenario.rtc.rearm_on_clear
+    grace_us = cfg.grace_window.us
+    end_us = scenario.duration.us
+    idle_nw = idle_power(scenario).nw
+    aims = _aims(cfg, segments, capacity)
+    # Consumption ledger: the always-on rail first, then each step name.
+    slots = {ALWAYS_ON_COMPONENT: 0}
+    for step in scenario.load_script:
+        slots.setdefault(step.name, len(slots))
+    steps = tuple(_Step(step.name, step.power.nw, step.duration.us, slots[step.name]) for step in scenario.load_script)
+    consumed = [0.0] * len(slots)
+
+    queue: list[tuple] = []  # (time_us, kind, seq, gen, payload)
+    seq = itertools.count(1)
+    # Per event kind, the generation that queued events must carry to be live.
+    gens = [0] * len(_KIND_LABEL)
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    def push(t_us: int, kind: int, payload=None) -> None:
+        heappush(queue, (t_us, kind, next(seq), gens[kind], payload))
+
+    now = 0
+    e = e_initial
+    lux = scenario.light_timeline[0][1]
+    p_harvest = harvest_power(harvester, lux).nw
+    v_harvest = harvest_voltage(harvester, lux).uv
+    v_uv = round(_store_uv(segments, e, capacity))
+    mode = _settle_initial_mode(cfg, v_uv, v_harvest, p_harvest)
+    mode_since = 0  # also the start of Shutdown's grace window while in Shutdown
+    residency = [0] * len(MODE_NAMES)
+    latch = False
+    active: _Step | None = None
+    next_step = 0
+    # A depleted store under light too weak to carry the always-on
+    # rail would re-boot and brown out forever within one instant;
+    # hold cold start off until the light actually changes.
+    cold_start_held = False
+    e_harvested = e_discarded = 0.0
+    # What rounding each store update to the store's own ulp left out.
+    e_rounding = 0.0
+    cycles_completed = 0
+    cycles: list[CycleRow] = []
+    cycle_start = 0
+    cycle_harvested = cycle_consumed = 0.0
+    anomalies: list[Anomaly] = []
+    trace = [TraceRecord(0, "init", MODE_NAMES[mode], latch, v_uv, e, "settled_from_initial_conditions")]
+
+    def start_next_step() -> None:
+        nonlocal active, next_step, cycles_completed
+        if next_step >= len(steps):
+            # Work complete: firmware clears the latch to drop back to Stage1.
+            cycles_completed += 1
+            push(now, _MCU_CLEAR_LATCH)
+            return
+        active = steps[next_step]
+        next_step += 1
+        gens[_LOAD_STEP_COMPLETE] += 1
+        push(now + active.duration_us, _LOAD_STEP_COMPLETE)
+
     # The first timeline entry is already in force before settling; only
     # actual changes become events.
     for t, lux in scenario.light_timeline[1:]:
-        state.push(t.us, _LIGHT_CHANGE, lux)
+        push(t.us, _LIGHT_CHANGE, lux)
     for t in scenario.touch.press_times:
-        state.push(t.us, _TOUCH_PRESS)
-    state.push(scenario.rtc.first_alarm.us, _RTC_ALARM)
-    end_us = scenario.duration.us
-    state.push(end_us, _SIM_END)
-    # The opening mode needs its exit crossing on the queue; dispatches
-    # keep it current from here on.
-    _reschedule_threshold(state)
+        push(t.us, _TOUCH_PRESS)
+    push(scenario.rtc.first_alarm.us, _RTC_ALARM)
+    push(end_us, _SIM_END)
 
-    queue = state.queue
-    pop = heapq.heappop
+    events = 0
+    live = True  # the last event was dispatched, so the state may have moved
     while True:
-        t_us, kind, _, gen, payload = pop(queue)
+        if live:
+            # Net rate into the store, then exactly one live crossing for it.
+            if mode == DEEP_SLEEP:
+                p_net = 0.0
+            else:
+                p_net = p_harvest - idle_nw if active is None else p_harvest - (idle_nw + active.power_nw)
+                if mode == OVERCHARGE:
+                    # Charging is held off: harvest feeds the load first
+                    # and the surplus is rejected; the store only discharges.
+                    p_net = min(0.0, p_net)
+            gens[_THRESHOLD_CROSS] += 1
+            if mode == DEEP_SLEEP:
+                # Cold start is driven by the harvester, not the store; it
+                # can only become true at a dispatch, so test it right here.
+                if not cold_start_held and cold_start(cfg, v_harvest, p_harvest):
+                    push(now, _THRESHOLD_CROSS, _COLD_START)
+            elif p_net != 0.0:
+                exit, onset = aims[mode][p_net > 0.0]
+                t_cross = find_threshold_crossing(now, e, p_net, onset, exit.rising)
+                # Past the next event, p_net may change first; recompute then.
+                if t_cross is not None and not (queue and t_cross > queue[0][0]):
+                    push(t_cross, _THRESHOLD_CROSS, exit)
+
+        t_us, kind, _, gen, payload = heappop(queue)
         if t_us > end_us:
             raise SimulationError("event queue ran past the end of the run")
-        _advance_to(state, t_us)
-        state.events_dispatched += 1
-        if state.events_dispatched > _MAX_EVENTS:
+        if t_us < now:
+            raise SimulationError(f"time must not run backwards ({now} -> {t_us})")
+        dt_us = t_us - now
+        if dt_us:
+            # Integrate every constant flow over [now, t_us].
+            if mode != DEEP_SLEEP:
+                harvest_e = p_harvest * dt_us / 1e6
+                e_harvested += harvest_e
+                cycle_harvested += harvest_e
+                idle_e = idle_nw * dt_us / 1e6
+                consumed[0] += idle_e
+                cycle_consumed += idle_e
+                drain_nw = idle_nw
+                if active is not None:
+                    drain_nw += active.power_nw
+                    step_e = active.power_nw * dt_us / 1e6
+                    consumed[active.slot] += step_e
+                    cycle_consumed += step_e
+                if mode == OVERCHARGE:
+                    e_discarded += max(0.0, p_harvest - drain_nw) * dt_us / 1e6
+            e_old = e
+            e, clipped_high, clipped_low = _integrate(e_old, capacity, p_net, dt_us)
+            # TwoSum (Knuth, TAOCP 2, 4.2.2): the exact error of e_old + added
+            # as _integrate rounds it. The store's ulp is ~1e-5 nJ at full
+            # scale, so on runs of many tiny events this error outgrows the
+            # flows' tolerance.
+            added = p_net * dt_us / 1_000_000
+            total = e_old + added
+            added_part = total - e_old
+            e_rounding += (e_old - (total - added_part)) + (added - added_part)
+            if clipped_high > 0.0:
+                # Physical ceiling; rejected exactly like an overcharge clamp.
+                e_discarded += clipped_high
+            if clipped_low > 0.0:
+                # Only float dust can land here (the depletion crossing fires
+                # at zero); undo the overstated drain so the ledger stays balanced.
+                consumed[0] -= clipped_low
+                cycle_consumed -= clipped_low
+            now = t_us
+        events += 1
+        if events > _MAX_EVENTS:
             raise SimulationError("event budget exhausted; scenario is livelocked")
-        _dispatch(state, t_us, kind, gen, payload)
+        live = gen == gens[kind]
+        if not live:
+            continue
+
+        # -- dispatch: stored energy only moves between dispatches.
+        v_uv = round(_store_uv(segments, e, capacity))
+        notes: list[str] = []
+        label = _KIND_LABEL[kind]
+        exit = None
+        if kind == _THRESHOLD_CROSS:
+            exit = payload
+            label = "threshold_cross:" + exit.label
+            if exit is not _COLD_START and exit is not _DEPLETED:
+                _check_landing(exit, v_uv, segments, capacity, e, p_net)
+
+        powered = mode != DEEP_SLEEP
+        stage2_before = stage2(mode, latch)
+
+        if kind == _RTC_ALARM or kind == _SIM_END:
+            # An alarm opens a new accounting cycle; the end closes the last.
+            if now != cycle_start or cycle_harvested != 0.0 or cycle_consumed != 0.0:
+                cycles.append(CycleRow(
+                    index=len(cycles),
+                    start_us=cycle_start,
+                    consumed_nj=cycle_consumed,
+                    harvested_nj=cycle_harvested,
+                    net_nj=cycle_harvested - cycle_consumed,
+                    end_soc=e / capacity,
+                ))
+                cycle_start = now
+                cycle_harvested = cycle_consumed = 0.0
+
+        if kind == _RTC_ALARM:
+            if powered:
+                latch = True
+                notes.append("latch_set=rtc")
+                if mode == SHUTDOWN:
+                    notes.append("compute_rail_unpowered_until_recovery")
+                elif mode == WAKE_UP:
+                    notes.append("compute_rail_unpowered_until_charged")
+            else:
+                notes.append("ignored_unpowered")
+            push(now + alarm_period, _RTC_ALARM)
+
+        elif kind == _TOUCH_PRESS:
+            if powered:
+                latch = True
+                notes.append("latch_set=touch")
+            else:
+                notes.append("ignored_unpowered")
+
+        elif kind == _LOAD_STEP_COMPLETE:
+            notes.append(f"step_done={active.name}")
+            active = None
+            start_next_step()
+
+        elif kind == _LIGHT_CHANGE:
+            p_harvest = harvest_power(harvester, payload).nw
+            v_harvest = harvest_voltage(harvester, payload).uv
+            cold_start_held = False
+            notes.append(f"lux={payload.lux!r}")
+
+        elif kind == _MCU_CLEAR_LATCH:
+            if not stage2_before:
+                # The compute domain lost power in the same microsecond the
+                # clear was issued; the latch keeps its state.
+                anomalies.append(Anomaly(now, "clear_skipped_unpowered", "latch clear arrived without Stage2 power"))
+                notes.append("clear_skipped_unpowered")
+            else:
+                latch = False
+                notes.append("latch_cleared")
+                if rearm_on_clear:
+                    gens[_RTC_ALARM] += 1
+                    push(now + alarm_period, _RTC_ALARM)
+                    notes.append("alarm_rearmed")
+
+        # One mode-machine step per dispatch; cascades arrive as immediate
+        # threshold-crossing events queued at the top of the loop. The
+        # grace expiry itself is resolved here too.
+        new_mode = mode
+        if exit is _DEPLETED:
+            if mode != DEEP_SLEEP:
+                anomalies.append(Anomaly(now, "storage_depleted", f"store empty in {MODE_NAMES[mode]}; forced deep sleep"))
+                new_mode = DEEP_SLEEP
+                cold_start_held = True
+                notes.append("forced_deep_sleep;cold_start_held_until_light_change")
+        elif mode != DEEP_SLEEP or not cold_start_held:
+            # While cold start is held, Deep sleep's step is an identity, and
+            # taking it would re-boot into the brown-out the hold exists to break.
+            new_mode = step_mode(mode, mode_since, cfg, v_uv, v_harvest, p_harvest, now)
+            if new_mode != mode:
+                notes.append(f"mode={MODE_NAMES[new_mode]}")
+        if new_mode != mode:
+            gens[_SHUTDOWN_GRACE_EXPIRE] += 1  # a grace window ends with its Shutdown
+            residency[mode] += now - mode_since
+            mode_since = now
+            mode = new_mode
+            if mode == SHUTDOWN:
+                push(now + grace_us, _SHUTDOWN_GRACE_EXPIRE)
+
+        # Power loss wipes the latch: the latch logic lives on the rail that
+        # just went down.
+        if mode == DEEP_SLEEP and latch:
+            latch = False
+            notes.append("latch_lost_power")
+
+        stage2_after = stage2(mode, latch)
+        if stage2_after and not stage2_before:
+            next_step = 0
+            start_next_step()
+            notes.append("stage2_entered")
+        elif stage2_before and not stage2_after:
+            if active is not None:
+                why = f"(mode {MODE_NAMES[mode]})" if latch else "(latch cleared)"
+                anomalies.append(Anomaly(
+                    now, "load_step_aborted", f"{active.name} lost power {why}; pro-rata energy already charged"
+                ))
+                active = None
+                gens[_LOAD_STEP_COMPLETE] += 1
+            notes.append("stage2_exited")
+
+        _check_invariants(active, stage2_after, e, capacity)
+        trace.append(TraceRecord(t_us, label, MODE_NAMES[mode], latch, v_uv, e, ";".join(notes)))
         if kind == _SIM_END:
             break
 
-    return _finalize(state)
-
-
-def _finalize(state: _State) -> Report:
-    scenario = state.scenario
-    state.set_mode(state.mode)  # close the last residency interval
-    residency_us = sum(state.time_in_mode.values())
-    if residency_us != state.now:
-        raise SimulationError(f"mode residency {residency_us} us does not cover the run ({state.now} us)")
-
-    e_initial = scenario.storage.e_store.nj
-    e_final = state.e_store_nj
+    residency[mode] += now - mode_since  # close the last residency interval
+    if sum(residency) != now:
+        raise SimulationError(f"mode residency {sum(residency)} us does not cover the run ({now} us)")
     # Both checks are phrased so that a NaN (an overflowed ledger) fails them.
-    for name, nj in state.consumed_nj.items():
-        if not nj >= -1e-6:
-            raise SimulationError(f"component {name!r} accrued negative energy ({nj} nJ)")
-    consumed_total = sum(state.consumed_nj.values())
+    for name, slot in slots.items():
+        if not consumed[slot] >= -1e-6:
+            raise SimulationError(f"component {name!r} accrued negative energy ({consumed[slot]} nJ)")
+    consumed_total = sum(consumed)
     # The store's rounding is booked exactly, so the tolerance only covers
     # the ledger sums' own rounding, which scales with the flows.
-    balance = (state.e_harvested_nj - consumed_total - state.e_discarded_nj
-               - (e_final - e_initial) - state.e_rounding_nj)
-    scale = max(1.0, abs(state.e_harvested_nj), abs(consumed_total), abs(e_final - e_initial))
+    balance = e_harvested - consumed_total - e_discarded - (e - e_initial) - e_rounding
+    scale = max(1.0, abs(e_harvested), abs(consumed_total), abs(e - e_initial))
     if not abs(balance) <= 1e-6 * scale:
         raise SimulationError(f"energy ledger out of balance by {balance} nJ")
 
-    consumed = tuple((name, Energy(nj)) for name, nj in state.consumed_nj.items())
     return Report(
         scenario=scenario,
-        duration_us=state.now,
-        e_harvested=Energy(state.e_harvested_nj),
-        e_consumed=consumed,
-        e_overcharge_discarded=Energy(state.e_discarded_nj),
+        duration_us=now,
+        e_harvested=Energy(e_harvested),
+        e_consumed=tuple((name, Energy(consumed[slot])) for name, slot in slots.items()),
+        e_overcharge_discarded=Energy(e_discarded),
         e_store_initial=Energy(e_initial),
-        e_store_final=Energy(e_final),
-        final_soc=e_final / state.e_capacity_nj,
-        final_voltage=Voltage(state.v_store_uv()),
-        final_mode=state.mode.value,
-        mode_residency=tuple((mode.value, Duration(us)) for mode, us in state.time_in_mode.items()),
-        cycles=tuple(state.cycles),
-        cycles_completed=state.cycles_completed,
-        anomalies=tuple(state.anomalies),
-        trace=tuple(state.trace),
+        e_store_final=Energy(e),
+        final_soc=e / capacity,
+        final_voltage=Voltage(round(_store_uv(segments, e, capacity))),
+        final_mode=MODE_NAMES[mode],
+        mode_residency=tuple((name, Duration(us)) for name, us in zip(MODE_NAMES, residency)),
+        cycles=tuple(cycles),
+        cycles_completed=cycles_completed,
+        anomalies=tuple(anomalies),
+        trace=tuple(trace),
     )
 
 

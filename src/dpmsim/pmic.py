@@ -8,10 +8,11 @@ latch decide the node's operating stage (see stage2):
   Stage2: the switched compute rail is additionally up, which requires
           a charged store (Normal or Overcharge) and a set latch.
 
-Each mode's stored-voltage exits are one table, PmicConfig.exits, read by
-the mode machine and the engine's crossing solver alike. On the store
-voltage in whole microvolts, a rising exit holds once v >= uv and a
-falling one once v < uv. So a store exactly on v_chrdy or v_ovch is in
+A mode is a small int that names itself through MODE_NAMES. Each mode's
+stored-voltage exits are one table, PmicConfig.exits, indexed by mode and
+read by the mode machine and the engine's crossing solver alike. On the
+store voltage in whole microvolts, a rising exit holds once v >= uv and
+a falling one once v < uv. So a store exactly on v_chrdy or v_ovch is in
 the higher mode, and one exactly on v_ovch - hysteresis has left
 Overcharge. DeepSleep leaves only by cold start, which reads the
 harvester; Shutdown also ends in DeepSleep once its grace window, counted
@@ -20,7 +21,6 @@ from the instant it was entered, runs out.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -28,17 +28,10 @@ from typing import NamedTuple
 from .quantities import Duration, Power, Voltage
 
 
-class Mode(enum.Enum):
-    DEEP_SLEEP = "deep_sleep"
-    WAKE_UP = "wake_up"
-    NORMAL = "normal"
-    OVERCHARGE = "overcharge"
-    SHUTDOWN = "shutdown"
-
-
-# Enum member lookups go through the enum metaclass; the per-event paths
-# compare against these module-level names instead.
-_DEEP_SLEEP, _WAKE_UP, _NORMAL, _OVERCHARGE, _SHUTDOWN = Mode
+# The engine keeps the mode in a local and indexes tables with it.
+MODE_NAMES = ("deep_sleep", "wake_up", "normal", "overcharge", "shutdown")
+MODES = range(len(MODE_NAMES))
+DEEP_SLEEP, WAKE_UP, NORMAL, OVERCHARGE, SHUTDOWN = MODES
 
 
 class Exit(NamedTuple):
@@ -47,7 +40,7 @@ class Exit(NamedTuple):
     label: str
     uv: int
     rising: bool
-    to: Mode
+    to: int
 
     def holds(self, v_uv: int) -> bool:
         """Does the guard hold at this store voltage, in whole uV?"""
@@ -83,19 +76,19 @@ class PmicConfig:
             raise ValueError("grace_window must be positive")
 
     @cached_property
-    def exits(self) -> dict[Mode, tuple[Exit, ...]]:
-        """Each mode's stored-voltage exits (see the module docstring)."""
-        chrdy_up = Exit("chrdy_up", self.v_chrdy.uv, True, _NORMAL)
-        return {
-            _DEEP_SLEEP: (),
-            _WAKE_UP: (chrdy_up,),
-            _NORMAL: (
-                Exit("ovch_up", self.v_ovch.uv, True, _OVERCHARGE),
-                Exit("chrdy_down", self.v_chrdy.uv, False, _SHUTDOWN),
+    def exits(self) -> tuple[tuple[Exit, ...], ...]:
+        """Each mode's stored-voltage exits, indexed by mode (see the module docstring)."""
+        chrdy_up = Exit("chrdy_up", self.v_chrdy.uv, True, NORMAL)
+        return (
+            (),  # DEEP_SLEEP
+            (chrdy_up,),  # WAKE_UP
+            (  # NORMAL
+                Exit("ovch_up", self.v_ovch.uv, True, OVERCHARGE),
+                Exit("chrdy_down", self.v_chrdy.uv, False, SHUTDOWN),
             ),
-            _OVERCHARGE: (Exit("ovch_down", (self.v_ovch - self.v_ovch_hysteresis).uv + 1, False, _NORMAL),),
-            _SHUTDOWN: (chrdy_up,),
-        }
+            (Exit("ovch_down", (self.v_ovch - self.v_ovch_hysteresis).uv + 1, False, NORMAL),),  # OVERCHARGE
+            (chrdy_up,),  # SHUTDOWN
+        )
 
 
 def cold_start(cfg: PmicConfig, v_harvester_uv: int, p_harvester_nw: float) -> bool:
@@ -104,9 +97,9 @@ def cold_start(cfg: PmicConfig, v_harvester_uv: int, p_harvester_nw: float) -> b
 
 
 def step_mode(
-    mode: Mode, entered_us: int, cfg: PmicConfig,
+    mode: int, entered_us: int, cfg: PmicConfig,
     v_store_uv: int, v_harvester_uv: int, p_harvester_nw: float, now_us: int,
-) -> Mode:
+) -> int:
     """Apply at most one mode transition and return the new mode.
 
     Inputs are plain numbers: the time the current mode was entered and
@@ -120,20 +113,22 @@ def step_mode(
     for exit in cfg.exits[mode]:
         if exit.holds(v_store_uv):
             if fired is not None:
-                raise RuntimeError(f"guard exclusivity violated from {mode}: {[fired.label, exit.label]}")
+                raise RuntimeError(
+                    f"guard exclusivity violated from {MODE_NAMES[mode]}: {[fired.label, exit.label]}"
+                )
             fired = exit
     if fired is not None:
         return fired.to
-    if mode is _DEEP_SLEEP:
+    if mode == DEEP_SLEEP:
         if cold_start(cfg, v_harvester_uv, p_harvester_nw):
-            return _WAKE_UP
-    elif mode is _SHUTDOWN and now_us - entered_us >= cfg.grace_window.us:
+            return WAKE_UP
+    elif mode == SHUTDOWN and now_us - entered_us >= cfg.grace_window.us:
         # Recovery by chrdy_up wins at the boundary instant: the table
         # is read first.
-        return _DEEP_SLEEP
+        return DEEP_SLEEP
     return mode
 
 
-def stage2(mode: Mode, latch_set: bool) -> bool:
+def stage2(mode: int, latch_set: bool) -> bool:
     """Switched compute rail up: a charged store (Normal or Overcharge) and a set latch."""
-    return latch_set and (mode is _NORMAL or mode is _OVERCHARGE)
+    return latch_set and (mode == NORMAL or mode == OVERCHARGE)

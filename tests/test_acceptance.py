@@ -17,7 +17,7 @@ from dpmsim.analysis import compare_dpm
 from dpmsim.energy import AlwaysOnBudget, always_on_power, cycle_energy, soc_at_voltage
 from dpmsim.engine import format_trace, run
 from dpmsim.oracle import compare_with_engine, run_oracle
-from dpmsim.pmic import Mode, stage2, step_mode
+from dpmsim.pmic import DEEP_SLEEP, MODE_NAMES, MODES, NORMAL, OVERCHARGE, SHUTDOWN, stage2, step_mode
 from dpmsim.quantities import Current, Duration, Energy, Voltage, energy_of, power_of
 from dpmsim.report import report_dict
 from dpmsim.scenario import with_constant_light
@@ -103,7 +103,7 @@ def test_c06_mode_machine_grid_sweep(case_study):
                 # the last us of and at the end of a 600 ms grace window.
                 for now_us in (0, 599_999, 600_000):
                     inputs = (v_uv, v_h, p_h, now_us)
-                    for mode in Mode:
+                    for mode in MODES:
                         checked += 1
                         try:
                             # Raises exactly when more than one guard fires.
@@ -111,19 +111,19 @@ def test_c06_mode_machine_grid_sweep(case_study):
                         except RuntimeError as exc:
                             violations.append(f"exclusivity {mode} {v_uv} {exc}")
                             continue
-                        if mode is Mode.OVERCHARGE:
+                        if mode == OVERCHARGE:
                             should_exit = v_uv <= exit_uv
-                            if should_exit != (new is Mode.NORMAL):
+                            if should_exit != (new == NORMAL):
                                 violations.append(f"hysteresis exit {v_uv} -> {new}")
-                        if mode is Mode.NORMAL and v_uv >= cfg.v_ovch.uv:
-                            if new is not Mode.OVERCHARGE:
+                        if mode == NORMAL and v_uv >= cfg.v_ovch.uv:
+                            if new != OVERCHARGE:
                                 violations.append(f"hysteresis entry {v_uv} -> {new}")
-                        if mode is Mode.SHUTDOWN:
-                            expired = new is Mode.DEEP_SLEEP
+                        if mode == SHUTDOWN:
+                            expired = new == DEEP_SLEEP
                             should = v_uv < cfg.v_chrdy.uv and now_us >= 600_000
                             if expired != should:
                                 violations.append(f"grace expiry {v_uv} {now_us} -> {new}")
-                        if stage2(new, latch) != (latch and new in (Mode.NORMAL, Mode.OVERCHARGE)):
+                        if stage2(new, latch) != (latch and new in (NORMAL, OVERCHARGE)):
                             violations.append(f"rail chain {new} latch={latch}")
     assert violations == []
     print(f"c06 grid sweep: {checked} states, 0 violations")
@@ -155,7 +155,7 @@ def test_c07_latch_invariants_over_random_events():
                 lost += "latch_lost_power" in notes
             if rec.kind == "mcu_clear_latch":
                 clears += 1
-                applies = stage2(Mode(prev.mode), prev.latch_set)
+                applies = stage2(MODE_NAMES.index(prev.mode), prev.latch_set)
                 assert ("latch_cleared" in notes) == applies, (seed, rec)
                 assert ("clear_skipped_unpowered" in notes) != applies, (seed, rec)
     assert triggers + clears >= 10_000

@@ -13,7 +13,7 @@ from dpmsim.engine import format_trace, run
 from dpmsim.quantities import Current, Illuminance
 from dpmsim.report import report_dict
 from dpmsim.scenario import DpmVariant, VariantKind, with_constant_light
-from scenario_gen import with_initial_soc
+from scenario_gen import random_scenario, with_initial_soc
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,13 @@ class TestSweepLux:
         res = sweep_lux(case_study, Illuminance(10.0), Illuminance(20.0))
         assert res.breakeven.lux == 15.0
         assert res.bracket_lo.lux == res.bracket_hi.lux == 15.0
+
+    @pytest.mark.parametrize("seed", [6, 29])
+    def test_a_probe_that_ends_unpowered_is_refused(self, seed):
+        # At 1 lux these nodes die in deep sleep long before the run ends,
+        # so their last cycle books 0 nJ either way: no breakeven reading.
+        with pytest.raises(SweepError, match=r"probe at 1.0 lux ended unpowered in deep_sleep"):
+            sweep_lux(random_scenario(seed), Illuminance(1.0), Illuminance(200.0))
 
     def test_text_rendering(self, case_study):
         res = sweep_lux(case_study, Illuminance(1.0), Illuminance(200.0))

@@ -17,6 +17,8 @@ import dpmsim.cli
 from dpmsim.cli import main
 from dpmsim.engine import SimulationError, format_trace, run
 from dpmsim.report import report_dict
+from dpmsim.scenario import emit_scenario
+from scenario_gen import random_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -184,6 +186,17 @@ def test_sweep_reports_breakeven(capsys):
 def test_sweep_bad_bracket(capsys):
     assert main(["sweep", CASE_STUDY, "--lo", "100", "--hi", "200"]) == 1
     assert "does not straddle" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_probe_that_ends_unpowered(tmp_path, capsys):
+    path = tmp_path / "seed6.scenario"
+    path.write_text(emit_scenario(random_scenario(6)))
+    assert main(["sweep", str(path), "--lo", "1", "--hi", "200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: probe at 1.0 lux ended unpowered in deep_sleep: its last cycle booked no energy flow\n"
+    )
 
 
 @pytest.mark.parametrize(

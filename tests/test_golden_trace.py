@@ -17,6 +17,10 @@ lands 1-86 us earlier, and the grace expiry of the Shutdown it opens
 moves with it. Record counts, kinds, modes, latch states, the uV read at
 each record, notes and cycle counts are unchanged, and the final store
 moves by at most 1.2e-11 relative. The bundled digests did not move.
+
+CORPUS_SLICE pins trace_corpus.py's recipe on its first 20 seeds: the
+generated scenarios under constant light at 1x, 2x and 0.5x their first
+level. The full corpus is run by hand (see trace_corpus.py).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dpmsim.report import emit_report
 from dpmsim.scenario import parse_scenario
 
 from scenario_gen import random_scenario
+from trace_corpus import corpus, digest
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -40,6 +45,8 @@ BUNDLED = {
 }
 RANDOM_SEEDS = range(100)
 RANDOM_COMBINED = "15776033879329abc1aa2d9d92813c81c88d2c05db0c2bd2d40ea0d6663d3f4e"
+# trace_corpus.py's recipe on seeds 0-19: (runs, records, digest).
+CORPUS_SLICE = (60, 5590, "1ee5839214609dd5a0d6415f045405f10e05451feb5544a65ce3cbb3d1787640")
 
 
 def _digest(report: Report) -> str:
@@ -58,3 +65,7 @@ def test_random_scenarios_trace_and_report_are_golden():
     for seed in RANDOM_SEEDS:
         combined.update(_digest(run(random_scenario(seed))).encode())
     assert combined.hexdigest() == RANDOM_COMBINED
+
+
+def test_trace_corpus_slice_is_golden():
+    assert digest(corpus(range(20))) == CORPUS_SLICE

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpmsim.pmic import Mode, PmicConfig, stage2, step_mode
+from dpmsim.pmic import (
+    DEEP_SLEEP,
+    MODES,
+    NORMAL,
+    OVERCHARGE,
+    SHUTDOWN,
+    WAKE_UP,
+    PmicConfig,
+    stage2,
+    step_mode,
+)
 from dpmsim.quantities import Duration, Voltage
 
 CFG = PmicConfig()  # documented defaults: 3.0 V / 3.6 V / 50 mV / 600 ms
@@ -26,52 +36,52 @@ def _inp(
 
 
 def test_cold_start_needs_both_voltage_and_power():
-    ds = Mode.DEEP_SLEEP
-    assert step_mode(ds, 0, CFG, *_inp(0, 300_000, 2000.0)) is Mode.WAKE_UP
-    assert step_mode(ds, 0, CFG, *_inp(0, 299_999, 2000.0)) is Mode.DEEP_SLEEP
-    assert step_mode(ds, 0, CFG, *_inp(0, 300_000, 1999.9)) is Mode.DEEP_SLEEP
+    ds = DEEP_SLEEP
+    assert step_mode(ds, 0, CFG, *_inp(0, 300_000, 2000.0)) == WAKE_UP
+    assert step_mode(ds, 0, CFG, *_inp(0, 299_999, 2000.0)) == DEEP_SLEEP
+    assert step_mode(ds, 0, CFG, *_inp(0, 300_000, 1999.9)) == DEEP_SLEEP
     # The store level is irrelevant to the cold-start guard.
-    assert step_mode(ds, 0, CFG, *_inp(3_600_000, 0, 0.0)) is Mode.DEEP_SLEEP
+    assert step_mode(ds, 0, CFG, *_inp(3_600_000, 0, 0.0)) == DEEP_SLEEP
 
 
 def test_wake_up_to_normal_at_charge_ready():
-    wu = Mode.WAKE_UP
-    assert step_mode(wu, 0, CFG, *_inp(3_000_000)) is Mode.NORMAL
-    assert step_mode(wu, 0, CFG, *_inp(2_999_999)) is Mode.WAKE_UP
+    wu = WAKE_UP
+    assert step_mode(wu, 0, CFG, *_inp(3_000_000)) == NORMAL
+    assert step_mode(wu, 0, CFG, *_inp(2_999_999)) == WAKE_UP
 
 
 def test_normal_to_overcharge_at_threshold():
-    normal = Mode.NORMAL
-    assert step_mode(normal, 0, CFG, *_inp(3_600_000)) is Mode.OVERCHARGE
-    assert step_mode(normal, 0, CFG, *_inp(3_599_999)) is Mode.NORMAL
+    normal = NORMAL
+    assert step_mode(normal, 0, CFG, *_inp(3_600_000)) == OVERCHARGE
+    assert step_mode(normal, 0, CFG, *_inp(3_599_999)) == NORMAL
 
 
 def test_normal_to_shutdown_below_charge_ready():
-    normal = Mode.NORMAL
-    assert step_mode(normal, 0, CFG, *_inp(2_999_999, now_us=42)) is Mode.SHUTDOWN
+    normal = NORMAL
+    assert step_mode(normal, 0, CFG, *_inp(2_999_999, now_us=42)) == SHUTDOWN
     # The grace window runs 600 ms from the instant Shutdown is entered.
-    assert step_mode(Mode.SHUTDOWN, 42, CFG, *_inp(2_999_999, now_us=600_041)) is Mode.SHUTDOWN
-    assert step_mode(Mode.SHUTDOWN, 42, CFG, *_inp(2_999_999, now_us=600_042)) is Mode.DEEP_SLEEP
+    assert step_mode(SHUTDOWN, 42, CFG, *_inp(2_999_999, now_us=600_041)) == SHUTDOWN
+    assert step_mode(SHUTDOWN, 42, CFG, *_inp(2_999_999, now_us=600_042)) == DEEP_SLEEP
     # Boundary equality belongs to the higher mode: no shutdown at 3.0 V.
-    assert step_mode(normal, 0, CFG, *_inp(3_000_000)) is Mode.NORMAL
+    assert step_mode(normal, 0, CFG, *_inp(3_000_000)) == NORMAL
 
 
 def test_overcharge_exits_through_hysteresis():
-    ovch = Mode.OVERCHARGE
+    ovch = OVERCHARGE
     exit_uv = 3_600_000 - 50_000
-    assert step_mode(ovch, 0, CFG, *_inp(exit_uv)) is Mode.NORMAL
-    assert step_mode(ovch, 0, CFG, *_inp(exit_uv + 1)) is Mode.OVERCHARGE
+    assert step_mode(ovch, 0, CFG, *_inp(exit_uv)) == NORMAL
+    assert step_mode(ovch, 0, CFG, *_inp(exit_uv + 1)) == OVERCHARGE
     # Dropping below v_ovch alone does not leave Overcharge.
-    assert step_mode(ovch, 0, CFG, *_inp(3_599_999)) is Mode.OVERCHARGE
+    assert step_mode(ovch, 0, CFG, *_inp(3_599_999)) == OVERCHARGE
 
 
 def test_shutdown_recovery_beats_grace_expiry():
-    shut = Mode.SHUTDOWN
+    shut = SHUTDOWN
     # Entered at 400 us, the grace runs out at 600_400 us. Both
     # conditions hold at once there; recovery wins.
-    assert step_mode(shut, 400, CFG, *_inp(3_000_000, now_us=600_400)) is Mode.NORMAL
-    assert step_mode(shut, 400, CFG, *_inp(2_999_999, now_us=600_400)) is Mode.DEEP_SLEEP
-    assert step_mode(shut, 400, CFG, *_inp(2_999_999, now_us=600_399)) is Mode.SHUTDOWN
+    assert step_mode(shut, 400, CFG, *_inp(3_000_000, now_us=600_400)) == NORMAL
+    assert step_mode(shut, 400, CFG, *_inp(2_999_999, now_us=600_400)) == DEEP_SLEEP
+    assert step_mode(shut, 400, CFG, *_inp(2_999_999, now_us=600_399)) == SHUTDOWN
 
 
 def test_config_validation():
@@ -112,7 +122,7 @@ def test_guard_exclusivity_on_1mv_grid():
         for v_harv, p_harv in _HARVESTER_STATES:
             for now_us in _CLOCK:
                 inputs = _inp(uv, v_harv, p_harv, now_us)
-                for mode in Mode:
+                for mode in MODES:
                     try:
                         step_mode(mode, 0, CFG, *inputs)
                     except RuntimeError as exc:
@@ -123,7 +133,7 @@ def test_guard_exclusivity_on_1mv_grid():
 def test_step_mode_never_raises_on_grid():
     for uv in range(0, CFG.v_ovch.uv + 100_000 + 1, 1_000):
         inputs = _inp(uv, 1_200_000, 50_000.0, 600_000)
-        for mode in Mode:
+        for mode in MODES:
             step_mode(mode, 0, CFG, *inputs)
 
 
@@ -131,20 +141,20 @@ def test_step_mode_never_raises_on_grid():
 
 
 def test_rail_implication_chain():
-    for mode in Mode:
+    for mode in MODES:
         for latch in (False, True):
-            charged = mode in (Mode.NORMAL, Mode.OVERCHARGE)
+            charged = mode in (NORMAL, OVERCHARGE)
             assert stage2(mode, latch) == (charged and latch), (mode, latch)
 
 
 def test_operating_stage_mapping():
-    assert stage2(Mode.NORMAL, True)
-    assert stage2(Mode.OVERCHARGE, True)
-    assert not stage2(Mode.NORMAL, False)
-    assert not stage2(Mode.OVERCHARGE, False)
-    assert not stage2(Mode.WAKE_UP, True)
-    assert not stage2(Mode.SHUTDOWN, True)
-    assert not stage2(Mode.DEEP_SLEEP, False)
+    assert stage2(NORMAL, True)
+    assert stage2(OVERCHARGE, True)
+    assert not stage2(NORMAL, False)
+    assert not stage2(OVERCHARGE, False)
+    assert not stage2(WAKE_UP, True)
+    assert not stage2(SHUTDOWN, True)
+    assert not stage2(DEEP_SLEEP, False)
 
 
 # -- randomized single-step properties ------------------------------------
@@ -163,11 +173,11 @@ def _any_inputs(draw):
 @given(inputs=_any_inputs(), entered_us=st.integers(min_value=0, max_value=10**9))
 def test_step_moves_along_defined_edges_only(inputs: tuple[int, int, float, int], entered_us: int):
     allowed = {
-        Mode.DEEP_SLEEP: {Mode.DEEP_SLEEP, Mode.WAKE_UP},
-        Mode.WAKE_UP: {Mode.WAKE_UP, Mode.NORMAL},
-        Mode.NORMAL: {Mode.NORMAL, Mode.OVERCHARGE, Mode.SHUTDOWN},
-        Mode.OVERCHARGE: {Mode.OVERCHARGE, Mode.NORMAL},
-        Mode.SHUTDOWN: {Mode.SHUTDOWN, Mode.NORMAL, Mode.DEEP_SLEEP},
+        DEEP_SLEEP: {DEEP_SLEEP, WAKE_UP},
+        WAKE_UP: {WAKE_UP, NORMAL},
+        NORMAL: {NORMAL, OVERCHARGE, SHUTDOWN},
+        OVERCHARGE: {OVERCHARGE, NORMAL},
+        SHUTDOWN: {SHUTDOWN, NORMAL, DEEP_SLEEP},
     }
-    for mode in Mode:
+    for mode in MODES:
         assert step_mode(mode, entered_us, CFG, *inputs) in allowed[mode]
