@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Bisect for the illuminance at which a node becomes energy neutral.
+"""Find the illuminance at which a node becomes energy neutral.
 
 Sweeps the bundled case-study scenario (or any scenario file) for the
-light level where harvested energy per wake cycle equals the cycle's
-drain, and contrasts the hardware-gated node with its software-sleep
-twin when both bundled files are used.
+light level where harvested energy per whole wake cycle equals the
+cycle's drain, and contrasts the hardware-gated node with its
+software-sleep twin when both bundled files are used. Each sweep solves
+the breakeven from the cycle's energy budget and confirms it with two
+simulations, or bisects when the budget does not hold (see
+dpmsim.analysis.sweep_lux).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ def main() -> int:
     parser.add_argument("--lo", type=float, default=1.0, help="bracket low bound, lux")
     parser.add_argument("--hi", type=float, default=200.0, help="bracket high bound, lux")
     parser.add_argument("--resolution", type=float, default=0.1,
-                        help="stop once the bracket is this narrow, lux")
+                        help="width of the final bracket, lux")
     parser.add_argument("--csv", type=Path, default=None,
                         help="append probe points to this CSV file")
     args = parser.parse_args()

@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario_b")
     p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("sweep", help="bisect for the net-zero illuminance")
+    p = sub.add_parser("sweep", help="find the illuminance with zero net energy per whole cycle")
     p.add_argument("scenario")
     p.add_argument("--lo", type=float, required=True, help="bracket low bound, lux")
     p.add_argument("--hi", type=float, required=True, help="bracket high bound, lux")

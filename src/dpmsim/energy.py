@@ -75,7 +75,7 @@ class StorageElement:
 
 
 # The cores below work on plain numbers (soc, uV, nJ, nW, us) so the event
-# engine can call them per event; soc_at_voltage wraps them.
+# engine can call them per event.
 
 
 def _ocv_uv(segments: tuple[tuple[float, int, float, int], ...], soc: float) -> float:
@@ -83,18 +83,6 @@ def _ocv_uv(segments: tuple[tuple[float, int, float, int], ...], soc: float) -> 
         if soc <= s1:
             return v0 + (v1 - v0) * (soc - s0) / (s1 - s0)
     return float(segments[-1][3])
-
-
-def _soc_at_uv(segments: tuple[tuple[float, int, float, int], ...], uv: float) -> float:
-    """Inverse of the OCV curve at a voltage that may be fractional.
-    Saturates at soc 1 past the top."""
-    # First matching segment wins; a flat segment maps to its left knee.
-    for s0, v0, s1, v1 in segments:
-        if uv <= v1:
-            if v1 == v0:
-                return s0
-            return s0 + (s1 - s0) * (uv - v0) / (v1 - v0)
-    return segments[-1][2]
 
 
 def _store_uv(segments: tuple[tuple[float, int, float, int], ...], e_nj: float, capacity_nj: float) -> float:
@@ -119,15 +107,6 @@ def _integrate(e_nj: float, capacity_nj: float, p_nw: float, dt_us: int) -> tupl
     if e_new < 0.0:
         return 0.0, 0.0, -e_new
     return e_new, 0.0, 0.0
-
-
-def soc_at_voltage(storage: StorageElement, v: Voltage) -> float:
-    """Inverse of the OCV curve; errors outside the curve's range."""
-    if not storage.v_empty.uv <= v.uv <= storage.v_full.uv:
-        raise ValueError(
-            f"voltage {v.uv} uV outside OCV range [{storage.v_empty.uv}, {storage.v_full.uv}] uV"
-        )
-    return _soc_at_uv(storage.ocv_segments, v.uv)
 
 
 @dataclass(frozen=True)

@@ -114,12 +114,17 @@ class Anomaly:
 
 @dataclass(frozen=True)
 class CycleRow:
+    """One accounting row. A whole row is one alarm period: an RTC alarm
+    opened it and the next one closed it. The others are the row before
+    the first alarm and the row the end of the run cut short."""
+
     index: int
     start_us: int
     consumed_nj: float
     harvested_nj: float
     net_nj: float
     end_soc: float
+    whole: bool
 
 
 @dataclass(frozen=True)
@@ -345,6 +350,7 @@ def run(scenario: Scenario) -> Report:
     cycles: list[CycleRow] = []
     cycle_start = 0
     cycle_harvested = cycle_consumed = 0.0
+    cycle_from_alarm = False  # whether an RTC alarm opened the open row
     anomalies: list[Anomaly] = []
     trace = [TraceRecord(0, "init", MODE_NAMES[mode], latch, v_uv, e, "settled_from_initial_conditions")]
 
@@ -468,9 +474,11 @@ def run(scenario: Scenario) -> Report:
                     harvested_nj=cycle_harvested,
                     net_nj=cycle_harvested - cycle_consumed,
                     end_soc=e / capacity,
+                    whole=cycle_from_alarm and kind == _RTC_ALARM,
                 ))
                 cycle_start = now
                 cycle_harvested = cycle_consumed = 0.0
+            cycle_from_alarm = True
 
         if kind == _RTC_ALARM:
             if powered:

@@ -19,10 +19,12 @@ block scalar's header and tags that SafeLoader refuses, cannot take a lone
 surrogate, and recurses in C, so deep nesting overflows its stack. So
 libyaml composes only a text free of those and of aliases, nested at most
 4,096 levels deep, and a text it cannot compose is composed again by
-SafeLoader, which words every YAML error. Every other refusal is final on
-whichever loader composed the text. Aliases are refused where they are
-used: no scenario needs one, and copying them out grows exponentially with
-their nesting.
+SafeLoader, which words every YAML error. SafeLoader's scanner takes time
+quadratic in the flow nesting, so one pass (nesting.py) first refuses a
+text nested deeper than SafeLoader's recursion can compose. Every other
+refusal is final on whichever loader composed the text. Aliases are
+refused where they are used: no scenario needs one, and copying them out
+grows exponentially with their nesting.
 
 emit_scenario writes a canonical form (fixed key order, base units)
 such that parse(emit(s)) == s.
@@ -34,6 +36,7 @@ import enum
 import functools
 import math
 import re
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from decimal import Decimal, DecimalException
 from types import UnionType
@@ -264,6 +267,13 @@ def _compose(text: str) -> Any:
             return yaml.compose(text, Loader=_FAST_LOADER)
         except yaml.YAMLError:
             pass
+    # The pure loader's composer recurses at least twice per nesting level,
+    # and the pure scanner takes time quadratic in the flow depth to get
+    # there. Imported here: only a text on the pure route needs the pass.
+    from .nesting import flow_nested_past
+
+    if flow_nested_past(text, sys.getrecursionlimit() // 2):
+        raise RecursionError
     try:
         return yaml.compose(text, Loader=_PureLoader)
     # The pure scanner's chr() refuses an escape past U+10FFFF with a ValueError or OverflowError.

@@ -29,7 +29,6 @@ from dpmsim.energy import (
     HarvesterModel,
     LoadStep,
     StorageElement,
-    _soc_at_uv,
     always_on_power,
     harvest_power,
 )
@@ -47,6 +46,33 @@ from dpmsim.scenario import DpmVariant, Scenario, VariantKind
 from dpmsim.wake import RtcConfig, TouchScript
 
 CLASSES = ("steady", "clamp", "decay")
+
+
+# The engine never inverts the OCV curve: it finds each guard's onset by
+# bisecting the forward curve. The generator and the tests invert it to
+# place a store on a threshold.
+
+
+def soc_at_uv(segments: tuple[tuple[float, int, float, int], ...], uv: float) -> float:
+    """Inverse of the OCV curve at a voltage that may be fractional.
+    Saturates at soc 1 past the top."""
+    # First matching segment wins; a flat segment maps to its left knee.
+    for s0, v0, s1, v1 in segments:
+        if uv <= v1:
+            if v1 == v0:
+                return s0
+            return s0 + (s1 - s0) * (uv - v0) / (v1 - v0)
+    return segments[-1][2]
+
+
+def soc_at_voltage(storage: StorageElement, v: Voltage) -> float:
+    """Inverse of the OCV curve; errors outside the curve's range."""
+    if not storage.v_empty.uv <= v.uv <= storage.v_full.uv:
+        raise ValueError(
+            f"voltage {v.uv} uV outside OCV range [{storage.v_empty.uv}, {storage.v_full.uv}] uV"
+        )
+    return soc_at_uv(storage.ocv_segments, v.uv)
+
 
 _STEP_NAMES = ("sense", "crunch", "radio", "log", "settle")
 
@@ -183,8 +209,8 @@ def random_scenario(seed: int, klass: str | None = None) -> Scenario:
     # Anchor the state of charge for the class, then rebuild the store.
     probe = StorageElement(capacity_mah, Voltage.from_volts(3.7), 0.5, curve)
     cap = probe.e_capacity.nj
-    e_chrdy = _soc_at_uv(probe.ocv_segments, v_chrdy.uv) * cap
-    e_ovch = _soc_at_uv(probe.ocv_segments, v_ovch.uv) * cap
+    e_chrdy = soc_at_uv(probe.ocv_segments, v_chrdy.uv) * cap
+    e_ovch = soc_at_uv(probe.ocv_segments, v_ovch.uv) * cap
     if klass == "steady":
         worst_down = (
             idle_nw * duration.us / 1e6

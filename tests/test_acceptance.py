@@ -14,14 +14,14 @@ import json
 import pytest
 
 from dpmsim.analysis import compare_dpm
-from dpmsim.energy import AlwaysOnBudget, always_on_power, cycle_energy, soc_at_voltage
+from dpmsim.energy import AlwaysOnBudget, always_on_power, cycle_energy
 from dpmsim.engine import format_trace, run
 from dpmsim.oracle import compare_with_engine, run_oracle
 from dpmsim.pmic import DEEP_SLEEP, MODE_NAMES, MODES, NORMAL, OVERCHARGE, SHUTDOWN, stage2, step_mode
 from dpmsim.quantities import Current, Duration, Energy, Voltage, energy_of, power_of
 from dpmsim.report import report_dict
 from dpmsim.scenario import with_constant_light
-from scenario_gen import random_scenario, with_initial_soc
+from scenario_gen import random_scenario, soc_at_voltage, with_initial_soc
 
 
 def test_c01_net_cycle_gain_at_three_light_levels(case_study):

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as hyp
 
 from dpmsim import engine
-from dpmsim.energy import _integrate, _soc_at_uv, _store_uv, harvest_power
+from dpmsim.energy import _integrate, _store_uv, harvest_power
 from dpmsim.engine import (
     _COLD_START,
     _DEPLETED,
@@ -30,7 +30,7 @@ from dpmsim.engine import (
 from dpmsim.pmic import MODE_NAMES, NORMAL, Exit, PmicConfig, stage2, step_mode
 from dpmsim.quantities import Duration, Energy, Illuminance, TimePoint
 from dpmsim.scenario import Scenario, parse_scenario, with_constant_light
-from scenario_gen import random_scenario, with_initial_soc
+from scenario_gen import random_scenario, soc_at_uv, with_initial_soc
 
 ZERO_IDLE = """
 schema_version: 1
@@ -105,7 +105,7 @@ def test_crossing_charge_time_is_energy_over_power():
     t = _solve(s, chrdy_up, e, p_nw)
     # round(v) >= 3.3 V already holds half a microvolt (11.1 uJ) below
     # 3.3 V, which is where the oracle puts its charge-ready threshold.
-    e_onset = _soc_at_uv(s.storage.ocv_segments, 3_300_000 - 0.5) * cap
+    e_onset = soc_at_uv(s.storage.ocv_segments, 3_300_000 - 0.5) * cap
     assert t == math.ceil((e_onset - e) / 1000.0 * 1e6)
     assert _guard_holds(s, chrdy_up, e, p_nw, t)
     assert not _guard_holds(s, chrdy_up, e, p_nw, t - 1)
@@ -120,7 +120,7 @@ def test_crossing_overcharge_exit_lands_on_its_onset(case_study):
     ovch_down = _exit(s, "ovch_down")
     # round(v) < T holds below T - 0.5 uV, which is v_ovch - hysteresis
     # + 0.5 uV: the oracle's overcharge exit.
-    e_onset = _soc_at_uv(s.storage.ocv_segments, ovch_down.uv - 0.5) * s.storage.e_capacity.nj
+    e_onset = soc_at_uv(s.storage.ocv_segments, ovch_down.uv - 0.5) * s.storage.e_capacity.nj
     e = e_onset + 470_000.0
     t = _solve(s, ovch_down, e, p_nw)
     onset_us = (e_onset - e) / p_nw * 1e6
@@ -151,7 +151,7 @@ def test_step_mode_leaves_by_the_solved_crossing(case_study, mode, label, gap_uv
     exit = _exit(s, label)
     p_nw = 10.0**log_p_nw if exit.rising else -(10.0**log_p_nw)
     v_open = exit.uv - 0.5 + (-gap_uv if exit.rising else gap_uv)
-    e = _soc_at_uv(s.storage.ocv_segments, v_open) * cap
+    e = soc_at_uv(s.storage.ocv_segments, v_open) * cap
     t = _solve(s, exit, e, p_nw)
 
     def mode_at(t_us: int) -> int:
@@ -538,7 +538,7 @@ def test_a_crossing_dispatched_off_its_onset_raises(case_study):
     # Normal at 200 lux, ~42 uW net: far under 1 uV per us.
     p_nw = harvest_power(s.harvester, Illuminance(200.0)).nw - idle_power(s).nw
     ovch_up = _exit(s, "ovch_up")
-    e = _soc_at_uv(segments, ovch_up.uv - 5) * cap
+    e = soc_at_uv(segments, ovch_up.uv - 5) * cap
     with pytest.raises(SimulationError, match="dispatched 5 uV off target"):
         _check_landing(ovch_up, round(_v_uv(s, e)), segments, cap, e, p_nw)
 
@@ -575,7 +575,7 @@ def test_marginal_light_recovers_from_shutdown_by_crossing(case_study):
     # 600 ms grace deadline, after (e_onset - e_entry) / p_net.
     assert recovery.kind == "threshold_cross:chrdy_up"
     assert recovery.time_us == 25_226
-    e_onset = _soc_at_uv(s.storage.ocv_segments, _exit(s, "chrdy_up").uv - 0.5) * s.storage.e_capacity.nj
+    e_onset = soc_at_uv(s.storage.ocv_segments, _exit(s, "chrdy_up").uv - 0.5) * s.storage.e_capacity.nj
     p_net = harvest_power(s.harvester, Illuminance(4.83)).nw - idle_power(s).nw
     assert recovery.time_us - entry.time_us == math.ceil((e_onset - entry.e_store_nj) / p_net * 1e6)
 
@@ -616,6 +616,24 @@ def test_only_the_last_shutdown_entry_runs_its_grace_window(case_study):
     expiries = [rec for rec in r.trace if rec.kind == "shutdown_grace_expire"]
     assert [rec.time_us for rec in expiries] == [86_889 + 600_000]
     assert expiries[0].mode == "deep_sleep"
+
+
+def test_whole_rows_run_from_alarm_to_alarm(case_study):
+    # The bundled run ends on the alarm that closes its one cycle.
+    assert [(row.start_us, row.whole) for row in run(case_study).cycles] == [(0, True)]
+    # Alarms at 60 s, 663.535 s and 1267.07 s: the rows before the first
+    # and after the last are not whole.
+    s = dataclasses.replace(
+        case_study,
+        rtc=dataclasses.replace(case_study.rtc, first_alarm=TimePoint(60_000_000)),
+        duration=Duration.from_minutes(30),
+    )
+    rows = [(row.start_us, row.whole) for row in run(s).cycles]
+    assert rows == [(0, False), (60_000_000, True), (663_535_000, True), (1_267_070_000, False)]
+    # Without re-arming, every alarm is one period after the last.
+    fixed = dataclasses.replace(s, rtc=dataclasses.replace(s.rtc, rearm_on_clear=False))
+    rows = [(row.start_us, row.whole) for row in run(fixed).cycles]
+    assert rows == [(0, False), (60_000_000, True), (660_000_000, True), (1_260_000_000, False)]
 
 
 def test_empty_script_still_cycles(case_study):

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dpmsim.scenario as scenario_module
+from dpmsim.nesting import flow_nested_past
 from dpmsim.quantities import Current, Duration, Energy, Illuminance, Power, TimePoint, Voltage
 from dpmsim.scenario import (
     _QUANTITIES,
@@ -436,6 +437,83 @@ def test_refusals_on_the_libyaml_route_are_final(monkeypatch, text, message):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a: " + "[" * 3000 + "]" * 3000 + "\n#\t\n",
+        "a: " + "[" * 6000 + "]" * 6000,
+        "a: " + "[" * 1500 + "]" * 1500 + "\n#\t\n",
+        "a: " + "{a: " * 1500 + "}" * 1500 + "\n#\t\n",
+        MINIMAL + "meta:\n  description: >-\n    x\n  name: [" + "[" * 1500 + "'a', " + "]" * 1501 + "\n#\t\n",
+    ],
+    ids=["3000-tab", "6000", "1500-tab", "1500-mappings-tab", "after-a-block-scalar"],
+)
+def test_deep_flow_nesting_is_refused_before_the_pure_loader_composes(monkeypatch, text):
+    # The pure scanner takes time quadratic in the nesting to reach the
+    # composer's recursion limit; one pass over the text refuses it first.
+    def pure_loader(*args):
+        raise AssertionError("the pure loader was entered")
+
+    assert not scenario_module._fast_route(text)
+    monkeypatch.setattr(scenario_module, "_PureLoader", pure_loader)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == TOO_DEEP
+
+
+@pytest.mark.parametrize(
+    "value, description",
+    [
+        ("'" + "[" * 3000 + "'", "[" * 3000),
+        ('"' + "{\\\"" * 3000 + '"', '{"' * 3000),
+        ("x" + "[" * 3000, "x" + "[" * 3000),
+        ("x # " + "[" * 3000, "x"),
+        ("x\n    " + "[" * 3000, "x " + "[" * 3000),
+        (">-\n    " + "{" * 3000 + "\n\n     [", "{" * 3000 + "\n\n ["),
+    ],
+    ids=["single-quoted", "double-quoted", "plain", "comment", "plain-continued", "block-scalar"],
+)
+def test_brackets_that_open_no_collection_are_no_nesting(value, description):
+    text = MINIMAL + "meta:\n  description: " + value + "\n  name: n\n#\t\n"
+    assert not scenario_module._fast_route(text)
+    assert parse_scenario(text).description == description
+
+
+def _flow_depth(text: str) -> tuple[int, bool]:
+    """The deepest flow nesting the pure scanner reaches, and whether the text composes."""
+    depth = deepest = 0
+    try:
+        for token in yaml.scan(text, Loader=yaml.SafeLoader):
+            if isinstance(token, (yaml.FlowSequenceStartToken, yaml.FlowMappingStartToken)):
+                depth += 1
+                deepest = max(deepest, depth)
+            elif isinstance(token, (yaml.FlowSequenceEndToken, yaml.FlowMappingEndToken)):
+                depth -= 1
+        yaml.compose(text, Loader=yaml.SafeLoader)
+    except yaml.YAMLError:
+        return deepest, False
+    return deepest, True
+
+
+def test_the_nesting_pass_never_overcounts_a_valid_text():
+    # Differential: on every mutant that composes, the pass finds flow
+    # nesting past a limit only where the pure scanner opens that many.
+    base = (SCENARIO_DIR / "case_study.scenario").read_text() + (
+        "extra:\n  - [a, [b, {c: [d, 'e]]', \"f{\"]}]]\n  - k: [[x], {y: [z]}]  # ]]\n"
+        "  - w [[ v\n  - |\n    [[[\n  - q\n    [[r\n  - {s: [t], u: {v: [w]}}\n"
+    )
+    found = deep = 0
+    for text in _mutants(base, 200, seed=1):
+        depth, valid = _flow_depth(text)
+        for limit in range(5):
+            past = flow_nested_past(text, limit)
+            if valid:
+                assert not past or depth > limit, repr(text)
+                deep += depth > limit
+                found += past
+    assert found > 0.9 * deep
 
 
 # Characters on which libyaml and the pure-Python loader have been seen to

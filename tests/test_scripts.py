@@ -54,14 +54,15 @@ def test_breakeven_sweep_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "--- case-study-node (hardware_gated) ---" in lines
-    assert "breakeven: 16.4983 lux (bracket [16.4497, 16.5469])" in lines
+    assert "breakeven: 16.4851 lux (bracket [16.4351, 16.5351])" in lines
     assert "--- case-study-node-software-sleep (software_sleep) ---" in lines
-    assert "breakeven: 42.4421 lux (bracket [42.3936, 42.4907])" in lines
+    assert "breakeven: 42.4695 lux (bracket [42.4195, 42.5195])" in lines
     assert f"probe points written to {probes}" in lines
     with probes.open(newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["scenario", "variant", "lux", "net_nJ_per_cycle"]
     assert {row[1] for row in rows[1:]} == {"hardware_gated", "software_sleep"}
-    assert ["case-study-node", "hardware_gated", "200.0", "23893644.796"] in rows
-    # One row per probe: 13 bisection steps for each bundled variant.
-    assert len(rows) == 1 + 2 * 13
+    assert ["case-study-node", "hardware_gated", "16.435063010752685", "-6510.0"] in rows
+    assert ["case-study-node-software-sleep", "software_sleep", "42.519516129032255", "6510.0"] in rows
+    # One row per probe: the two that confirm each bundled variant's closed form.
+    assert len(rows) == 1 + 2 * 2
